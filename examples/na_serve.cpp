@@ -4,8 +4,8 @@
 // dispatched onto one work-stealing pool, per-session ordering, graceful
 // SIGINT/SIGTERM shutdown that saves dirty sessions and flushes traces.
 //
-//   na_serve --port 0 --threads 4 --state-dir /tmp/na-state \
-//            --trace serve.trace.json --stats json
+//   na_serve --port 0 --threads 4 --state-dir /tmp/na-state
+//            --trace serve.trace.json --stats json     (one command line)
 //
 // With --port 0 the kernel picks the port; --port-file writes the bound
 // port so scripts (examples/serve_demo.sh) can find it.

@@ -72,6 +72,11 @@ struct Rect {
             {std::max(hi.x, o.hi.x), std::max(hi.y, o.hi.y)}};
   }
   constexpr Rect hull(Point p) const { return hull(Rect{p, p}); }
+  /// Common part of both (empty when they do not overlap).
+  constexpr Rect intersect(Rect o) const {
+    return {{std::max(lo.x, o.lo.x), std::max(lo.y, o.lo.y)},
+            {std::min(hi.x, o.hi.x), std::min(hi.y, o.hi.y)}};
+  }
   constexpr Point center() const { return {(lo.x + hi.x) / 2, (lo.y + hi.y) / 2}; }
   /// True when `p` lies on the rectangle's boundary.
   constexpr bool on_boundary(Point p) const {

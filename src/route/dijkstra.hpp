@@ -2,12 +2,13 @@
 //
 // Both the line-expansion router (lexicographic bends/crossings/length) and
 // the Lee baseline (pure length) are instances of a priority-first wavefront
-// over states (grid point, heading).  The line-expansion principle of paper
-// section 5.5.2 appears here as the cost structure: straight moves extend
-// the current escape line for free (in bends), a turn starts a new expansion
-// wave one bend deeper — so the search visits the plane zone by zone in
-// exactly the wave order of the paper, and the guaranteed-solution property
-// (5.5.4) holds because every reachable state is eventually expanded.
+// over states (grid point, heading), popped in (cost key, push order).  The
+// line-expansion principle of paper section 5.5.2 appears here as the cost
+// structure: straight moves extend the current escape line for free (in
+// bends), a turn starts a new expansion wave one bend deeper — so the
+// search visits the plane zone by zone in exactly the wave order of the
+// paper, and the guaranteed-solution property (5.5.4) holds because every
+// reachable state is eventually expanded.
 #pragma once
 
 #include <cstdint>
@@ -17,7 +18,7 @@
 
 namespace na::detail {
 
-/// Cost key composition for the priority queue.
+/// Cost key composition for the search order (line_expansion.cpp).
 enum class CostMode {
   BendsCrossingsLength,
   BendsLengthCrossings,

@@ -10,14 +10,20 @@
 // Appendix F swaps the last two keys.
 //
 // The search state lives in a SearchWorkspace (generation-stamped arrays
-// plus a reusable binary heap) so repeated searches stop paying a per-call
+// plus a reusable open set) so repeated searches stop paying a per-call
 // O(W*H) allocation; a caller that passes no workspace gets a private one.
 // An optional per-problem window restricts the explored plane: points
 // outside it count as blocked, and the driver retries without the window
 // when a windowed search fails.
+//
+// The search order is canonical: the smallest packed cost key first, ties
+// broken by push order.  Every edge adds a fixed per-mode delta to the key
+// (one per OpenSet lane), so the key is never unpacked during the search;
+// the reported PathCost is recounted along the traced state chain.
 #include "route/dijkstra.hpp"
 
 #include <algorithm>
+#include <array>
 #include <limits>
 #include <stdexcept>
 #include <vector>
@@ -26,41 +32,30 @@ namespace na {
 namespace detail {
 namespace {
 
-/// Packs the cost triple into one comparable 64-bit key.  Field widths:
-/// 20 bits per component (grids here are far smaller than 2^20 tracks).
-std::uint64_t pack(const SearchCosts& c, CostMode mode) {
-  auto clamp20 = [](int v) {
-    return static_cast<std::uint64_t>(v) & ((1u << 20) - 1);
-  };
-  switch (mode) {
-    case CostMode::BendsCrossingsLength:
-      return (clamp20(c.bends) << 40) | (clamp20(c.crossings) << 20) |
-             clamp20(c.length);
-    case CostMode::BendsLengthCrossings:
-      return (clamp20(c.bends) << 40) | (clamp20(c.length) << 20) |
-             clamp20(c.crossings);
-    case CostMode::LengthOnly:
-      return clamp20(c.length);
-  }
-  return 0;
-}
+/// Open-set lanes, one per edge kind.
+enum Lane : int { kStraight = 0, kCrossing = 1, kBend = 2 };
 
-/// Min-heap on the key (same ordering std::priority_queue<_, _, greater<>>
-/// used before, so pop order — ties included — is unchanged).  A functor
-/// type, not a function: std::push_heap with a function pointer comparator
-/// costs an indirect call per comparison.
-struct HeapAfter {
-  bool operator()(const HeapEntry& a, const HeapEntry& b) const {
-    return a.key > b.key;
+/// Key increments per lane.  Keys pack three 20-bit cost fields (grids
+/// here are far smaller than 2^20 tracks), most significant first; Lee
+/// orders by length alone, so its crossing step costs a plain step and its
+/// bend costs nothing.
+std::array<std::uint64_t, OpenSet::kLanes> lane_deltas(CostMode mode) {
+  constexpr std::uint64_t kLow = 1;
+  constexpr std::uint64_t kMid = std::uint64_t{1} << 20;
+  constexpr std::uint64_t kHigh = std::uint64_t{1} << 40;
+  switch (mode) {
+    case CostMode::BendsCrossingsLength:  // (bends, crossings, length)
+      return {kLow, kMid + kLow, kHigh};
+    case CostMode::BendsLengthCrossings:  // (bends, length, crossings)
+      return {kMid, kMid + kLow, kHigh};
+    case CostMode::LengthOnly:
+      return {kLow, kLow, 0};
   }
-};
+  return {};
+}
 
 }  // namespace
 
-// Deliberately one function with runtime checks for the window and the
-// observation mask: specializing the hot loop per feature combination
-// multiplies its inlining call sites, at which point GCC stops inlining
-// the heap sift and key packing (~25% slower on the LIFE workload).
 std::optional<SearchResult> grid_search(const RoutingGrid& grid,
                                         const SearchProblem& prob, CostMode mode,
                                         SearchWorkspace* ws, ObservedMask* observed) {
@@ -76,14 +71,20 @@ std::optional<SearchResult> grid_search(const RoutingGrid& grid,
   const int ncells = w * h;
   const int nstates = ncells * 4;
   const int goal_state = nstates;  // virtual goal
+  // Keys pop in non-decreasing order and a relax must lower a state's key,
+  // so each state is pushed at most once as a start and expanded at most
+  // once, pushing at most three entries: at most 16 pushes per cell, which
+  // keeps the 32-bit push sequence number from wrapping.
+  if (static_cast<std::uint64_t>(ncells) > std::numeric_limits<std::uint32_t>::max() / 16) {
+    throw std::length_error("routing plane too large for the search core");
+  }
   const bool windowed = prob.window.has_value();
   const geom::Rect win = windowed ? *prob.window : area;
+  // Points a step may land on: the window's part of the plane.
+  const geom::Rect reach = win.intersect(area);
 
-  auto cell_index = [&](geom::Point p) {
-    return (p.y - area.lo.y) * w + (p.x - area.lo.x);
-  };
   auto state_of = [&](geom::Point p, geom::Dir d) {
-    return cell_index(p) * 4 + static_cast<int>(d);
+    return ((p.y - area.lo.y) * w + (p.x - area.lo.x)) * 4 + static_cast<int>(d);
   };
   auto point_of = [&](int state) {
     const int cell = state / 4;
@@ -93,14 +94,13 @@ std::optional<SearchResult> grid_search(const RoutingGrid& grid,
 
   ws->begin(nstates + 1);
   const SearchWorkspace::View visited = ws->view();
-  std::vector<HeapEntry>& open = ws->heap();
+  OpenSet& open = ws->open();
+  const std::array<std::uint64_t, OpenSet::kLanes> delta = lane_deltas(mode);
 
-  auto relax = [&](int state, int from, const SearchCosts& c) {
-    const std::uint64_t key = pack(c, mode);
+  auto relax = [&](int lane, int state, int from, std::uint64_t key) {
     if (key < visited.best(state)) {
       visited.record(state, key, from);
-      open.push_back({key, state, c});
-      std::push_heap(open.begin(), open.end(), HeapAfter{});
+      open.push(lane, key, state);
     }
   };
 
@@ -110,75 +110,80 @@ std::optional<SearchResult> grid_search(const RoutingGrid& grid,
     // The start point becomes a node of this net as well.
     if (!grid.in_bounds(s.p) || !grid.node_free(s.p, prob.net)) continue;
     if (s.dir) {
-      relax(state_of(s.p, *s.dir), -1, {});
+      relax(kStraight, state_of(s.p, *s.dir), -1, 0);
     } else {
-      for (geom::Dir d : geom::kAllDirs) relax(state_of(s.p, d), -1, {});
+      for (geom::Dir d : geom::kAllDirs) relax(kStraight, state_of(s.p, d), -1, 0);
     }
   }
 
+  const NetId net = prob.net;
+  const bool has_target = prob.target.has_value();
+  const geom::Point target = has_target ? prob.target->p : geom::Point{};
+  // The heading a step must have to enter the target, or -1 for any.
+  const int target_entry = has_target && prob.target->facing
+                               ? static_cast<int>(geom::opposite(*prob.target->facing))
+                               : -1;
   long expansions = 0;
-  SearchCosts goal_costs{};
-  while (!open.empty()) {
-    std::pop_heap(open.begin(), open.end(), HeapAfter{});
-    const HeapEntry e = open.back();
-    open.pop_back();
+  OpenEntry e;
+  while (open.pop(e)) {
     if (e.key != visited.best(e.state)) continue;  // stale
-    if (e.state == goal_state) {
-      goal_costs = e.costs;
-      break;
-    }
+    if (e.state == goal_state) break;
     if (++expansions > prob.max_expansions) return std::nullopt;
 
     const geom::Point p = point_of(e.state);
     const geom::Dir d = dir_of(e.state);
-    const NetId net = prob.net;
     if (observed) observed->mark(p);
 
     // Straight step: extend the escape line one track.
-    {
-      const geom::Point q = p + geom::delta(d);
-      if (!windowed || win.contains(q)) {
-        if (observed) observed->mark(q);  // q's grid state is read below
-        const bool horiz = geom::is_horizontal(d);
-        SearchCosts c = e.costs;
-        c.length += 1;
-        // Destination tests come first: a terminal cell is enterable only by
-        // its own net and join cells are occupied, so `passable` would veto
-        // them.
-        // Arrival makes q a node of this net, so no foreign net may touch q.
-        const bool arrivable = grid.enterable(q, net) && grid.node_free(q, net);
-        const bool is_target = prob.target && q == prob.target->p &&
-                               (!prob.target->facing ||
-                                d == geom::opposite(*prob.target->facing)) &&
-                               arrivable;
-        const bool is_join =
-            prob.join_own_net && arrivable && grid.occupied_by(q, net);
-        if (is_target || is_join) {
-          relax(goal_state, e.state, c);
-        } else if (grid.passable(q, net, horiz) && !grid.occupied_by(q, net)) {
-          c.crossings += grid.crosses_at(q, net, horiz) ? 1 : 0;
-          relax(state_of(q, d), e.state, c);
-        }
+    const geom::Point q = p + geom::delta(d);
+    if (reach.contains(q)) {
+      if (observed) observed->mark(q);  // q's grid state is read below
+      const RoutingGrid::Cell& c = grid.cell(q);
+      const bool horiz = geom::is_horizontal(d);
+      // Destination tests come first: a terminal cell is enterable only by
+      // its own net and join cells are occupied, so `passable` would veto
+      // them.
+      // Arrival makes q a node of this net, so no foreign net may touch q.
+      const bool arrivable = c.enterable(net) && c.node_free(net);
+      const bool is_target = has_target && q == target &&
+                             (target_entry < 0 || static_cast<int>(d) == target_entry) &&
+                             arrivable;
+      const bool is_join = prob.join_own_net && arrivable && c.occupied_by(net);
+      if (is_target || is_join) {
+        relax(kStraight, goal_state, e.state, e.key + delta[kStraight]);
+      } else if (c.passable(net, horiz) && !c.occupied_by(net)) {
+        const int lane = c.crosses(net, horiz) ? kCrossing : kStraight;
+        relax(lane, state_of(q, d), e.state, e.key + delta[lane]);
       }
     }
     // Turns: start a perpendicular expansion wave (one bend deeper).  The
     // bend occupies the whole point, so both orientations must be free.
-    if (grid.can_turn(p, prob.net)) {
+    if (grid.cell(p).can_turn(net)) {
       for (geom::Dir nd : geom::kAllDirs) {
         if (geom::is_horizontal(nd) == geom::is_horizontal(d)) continue;
-        SearchCosts c = e.costs;
-        c.bends += 1;
-        relax(state_of(p, nd), e.state, c);
+        relax(kBend, state_of(p, nd), e.state, e.key + delta[kBend]);
       }
     }
   }
 
   if (ws->best(goal_state) == SearchWorkspace::kUnvisited) return std::nullopt;
 
-  // Trace back the state chain and compress it into polyline corners.
+  // Trace back the state chain, recounting its cost (the key holds only
+  // what the mode orders by): a state on the same point as its parent is a
+  // turn, any other is a straight step.  The goal adds the final step.
+  PathCost cost{0, 0, 1};
   std::vector<geom::Point> chain;
   for (int s = ws->parent(goal_state); s != -1; s = ws->parent(s)) {
-    chain.push_back(point_of(s));
+    const geom::Point p = point_of(s);
+    chain.push_back(p);
+    const int from = ws->parent(s);
+    if (from == -1) break;  // a start state
+    if (from / 4 == s / 4) {
+      ++cost.bends;
+    } else {
+      ++cost.length;
+      cost.crossings += grid.crosses_at(p, net, geom::is_horizontal(dir_of(s))) ? 1 : 0;
+    }
   }
   std::reverse(chain.begin(), chain.end());
   chain.push_back(prob.target ? prob.target->p
@@ -201,7 +206,7 @@ std::optional<SearchResult> grid_search(const RoutingGrid& grid,
 
   SearchResult result;
   result.path = std::move(path);
-  result.cost = {goal_costs.bends, goal_costs.crossings, goal_costs.length};
+  result.cost = cost;
   result.expansions = expansions;
   return result;
 }

@@ -1,10 +1,10 @@
 // Reusable scratch state for the grid search core.
 //
 // Every connection search used to allocate O(W*H) `best`/`parent` vectors
-// and a fresh priority queue; on large planes the allocation and paging
-// cost rivals the search itself.  A SearchWorkspace keeps those arrays
-// alive across searches and invalidates them in O(1) with a generation
-// stamp: a slot's contents are only meaningful when its stamp equals the
+// and a fresh open set; on large planes the allocation and paging cost
+// rivals the search itself.  A SearchWorkspace keeps those arrays alive
+// across searches and invalidates them in O(1) with a generation stamp: a
+// slot's contents are only meaningful when its stamp equals the
 // workspace's current generation, so "clearing" the arrays is a counter
 // increment.  One workspace serves one thread; the parallel driver keeps
 // one per worker.
@@ -19,6 +19,7 @@
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <limits>
 #include <vector>
@@ -27,16 +28,85 @@
 
 namespace na::detail {
 
-struct SearchCosts {
-  int bends = 0;
-  int crossings = 0;
-  int length = 0;
+/// One open-set entry: packed cost key, search state and push sequence
+/// number.  The search pops entries in (key, seq) order.
+struct OpenEntry {
+  std::uint64_t key;
+  std::int32_t state;
+  std::uint32_t seq;
+};
+static_assert(sizeof(OpenEntry) == 16);
+
+/// A FIFO lane of the open set: a power-of-two ring buffer, so its memory
+/// tracks the most entries live at once, not the number of pushes.
+class OpenLane {
+ public:
+  bool empty() const { return head_ == tail_; }
+  const OpenEntry& front() const { return buf_[head_ & mask_]; }
+  void pop() { ++head_; }
+  void push(const OpenEntry& e) {
+    if (tail_ - head_ == buf_.size()) grow();
+    buf_[tail_++ & mask_] = e;
+  }
+  void clear() { head_ = tail_ = 0; }
+
+ private:
+  void grow() {
+    std::vector<OpenEntry> next(std::max<size_t>(64, 2 * buf_.size()));
+    size_t n = 0;
+    for (size_t i = head_; i != tail_; ++i) next[n++] = buf_[i & mask_];
+    buf_ = std::move(next);
+    mask_ = buf_.size() - 1;
+    head_ = 0;
+    tail_ = n;
+  }
+
+  std::vector<OpenEntry> buf_;
+  size_t mask_ = 0;
+  size_t head_ = 0;
+  size_t tail_ = 0;
 };
 
-struct HeapEntry {
-  std::uint64_t key;
-  int state;
-  SearchCosts costs;
+/// The search's open set: one FIFO lane per edge kind (straight step,
+/// straight step over a crossing, bend).  The search expands keys in
+/// non-decreasing order and every push is the expanded key plus its
+/// lane's fixed delta, so each lane receives keys in non-decreasing order
+/// with rising sequence numbers: each lane is sorted by (key, seq), and
+/// the smallest of the three heads is the smallest entry overall.  Push
+/// and pop are O(1), and the pop order is (key, seq) by construction,
+/// independent of how the lanes are stored.
+class OpenSet {
+ public:
+  static constexpr int kLanes = 3;
+
+  void clear() {
+    for (OpenLane& l : lanes_) l.clear();
+    seq_ = 0;
+  }
+  /// `key` must be no smaller than the lane's previous push, which holds
+  /// when it is the last popped key plus the lane's fixed delta.
+  void push(int lane, std::uint64_t key, std::int32_t state) {
+    lanes_[lane].push({key, state, seq_++});
+  }
+  /// Removes the smallest entry into `out`; false when the set is empty.
+  bool pop(OpenEntry& out) {
+    OpenLane* best = nullptr;
+    for (OpenLane& l : lanes_) {
+      if (l.empty()) continue;
+      if (!best || l.front().key < best->front().key ||
+          (l.front().key == best->front().key && l.front().seq < best->front().seq)) {
+        best = &l;
+      }
+    }
+    if (!best) return false;
+    out = best->front();
+    best->pop();
+    return true;
+  }
+
+ private:
+  std::array<OpenLane, kLanes> lanes_;
+  std::uint32_t seq_ = 0;
 };
 
 class SearchWorkspace {
@@ -65,14 +135,14 @@ class SearchWorkspace {
     }
     stamp_ = stamp_ % 15 + 1;
     if (stamp_ == 1) std::fill(slots_.begin(), slots_.end(), 0);
-    heap_.clear();
+    open_.clear();
   }
 
   /// Raw pointers into the (already sized) arrays for the search hot loop.
-  /// Holding them as locals lets the optimizer keep them in registers: heap
-  /// pushes mutate the workspace object, so access through the workspace
-  /// itself would force a data-pointer reload after every relax.  Valid
-  /// until the next begin().
+  /// Holding them as locals lets the optimizer keep them in registers:
+  /// open-set pushes mutate the workspace object, so access through the
+  /// workspace itself would force a data-pointer reload after every relax.
+  /// Valid until the next begin().
   struct View {
     std::uint64_t* slots;
     std::int32_t* parent;
@@ -100,13 +170,13 @@ class SearchWorkspace {
   /// Only meaningful for states recorded in the current generation.
   int parent(int s) const { return parent_[s]; }
 
-  /// Heap storage for the open set (managed by the search loop).
-  std::vector<HeapEntry>& heap() { return heap_; }
+  /// The open set (cleared by begin(), driven by the search loop).
+  OpenSet& open() { return open_; }
 
  private:
   std::vector<std::uint64_t> slots_;
   std::vector<std::int32_t> parent_;
-  std::vector<HeapEntry> heap_;
+  OpenSet open_;
   std::uint32_t stamp_ = 0;
 };
 

@@ -10,21 +10,12 @@ RoutingGrid::RoutingGrid(geom::Rect area) : area_(area) {
   cells_.resize(static_cast<size_t>(width_) * (area.height() + 1));
 }
 
-RoutingGrid::Cell& RoutingGrid::at(geom::Point p) {
-  return cells_[static_cast<size_t>(p.y - area_.lo.y) * width_ + (p.x - area_.lo.x)];
-}
-
-const RoutingGrid::Cell& RoutingGrid::at(geom::Point p) const {
-  return cells_[static_cast<size_t>(p.y - area_.lo.y) * width_ + (p.x - area_.lo.x)];
-}
-
 void RoutingGrid::block(geom::Point p) {
   if (in_bounds(p)) at(p).blocked = true;
 }
 
 void RoutingGrid::block_rect(geom::Rect r) {
-  const geom::Rect clipped = {{std::max(r.lo.x, area_.lo.x), std::max(r.lo.y, area_.lo.y)},
-                              {std::min(r.hi.x, area_.hi.x), std::min(r.hi.y, area_.hi.y)}};
+  const geom::Rect clipped = r.intersect(area_);
   for (int y = clipped.lo.y; y <= clipped.hi.y; ++y) {
     for (int x = clipped.lo.x; x <= clipped.hi.x; ++x) {
       at({x, y}).blocked = true;
@@ -45,60 +36,6 @@ void RoutingGrid::set_claim(geom::Point p, NetId n) {
 
 void RoutingGrid::clear_claim(geom::Point p) {
   if (in_bounds(p)) at(p).claim = kNone;
-}
-
-bool RoutingGrid::blocked(geom::Point p) const {
-  return !in_bounds(p) || at(p).blocked;
-}
-
-NetId RoutingGrid::terminal_owner(geom::Point p) const {
-  return in_bounds(p) ? at(p).owner : kNone;
-}
-
-NetId RoutingGrid::claim_owner(geom::Point p) const {
-  return in_bounds(p) ? at(p).claim : kNone;
-}
-
-NetId RoutingGrid::h_net(geom::Point p) const { return in_bounds(p) ? at(p).h : kNone; }
-NetId RoutingGrid::v_net(geom::Point p) const { return in_bounds(p) ? at(p).v : kNone; }
-
-bool RoutingGrid::enterable(geom::Point p, NetId n) const {
-  if (!in_bounds(p)) return false;
-  const Cell& c = at(p);
-  if (c.blocked && c.owner != n) return false;
-  if (c.claim != kNone && c.claim != n) return false;
-  return true;
-}
-
-bool RoutingGrid::passable(geom::Point p, NetId n, bool horizontal) const {
-  if (!enterable(p, n)) return false;
-  const Cell& c = at(p);
-  return (horizontal ? c.h : c.v) == kNone;
-}
-
-bool RoutingGrid::can_turn(geom::Point p, NetId n) const {
-  if (!enterable(p, n)) return false;
-  const Cell& c = at(p);
-  return c.h == kNone && c.v == kNone;
-}
-
-bool RoutingGrid::crosses_at(geom::Point p, NetId n, bool horizontal) const {
-  if (!in_bounds(p)) return false;
-  const Cell& c = at(p);
-  const NetId other = horizontal ? c.v : c.h;
-  return other != kNone && other != n;
-}
-
-bool RoutingGrid::occupied_by(geom::Point p, NetId n) const {
-  if (!in_bounds(p)) return false;
-  const Cell& c = at(p);
-  return c.h == n || c.v == n;
-}
-
-bool RoutingGrid::node_free(geom::Point p, NetId n) const {
-  if (!in_bounds(p)) return false;
-  const Cell& c = at(p);
-  return (c.h == kNone || c.h == n) && (c.v == kNone || c.v == n);
 }
 
 void RoutingGrid::occupy_polyline(NetId n, std::span<const geom::Point> pts,
@@ -141,7 +78,7 @@ bool RoutingGrid::polyline_fits(NetId n, std::span<const geom::Point> pts) const
     if (a == b) continue;
     for (geom::Point p = a;; p += step) {
       if (!in_bounds(p)) return false;
-      const Cell& c = at(p);
+      const Cell& c = cell(p);
       const NetId slot = horizontal ? c.h : c.v;
       if (slot != kNone && slot != n) return false;
       if (p == b) break;
@@ -156,14 +93,12 @@ void RoutingGrid::set_track(geom::Point p, bool horizontal, NetId n) {
 }
 
 RoutingGrid RoutingGrid::clipped(geom::Rect sub) const {
-  const geom::Rect inter = {
-      {std::max(sub.lo.x, area_.lo.x), std::max(sub.lo.y, area_.lo.y)},
-      {std::min(sub.hi.x, area_.hi.x), std::min(sub.hi.y, area_.hi.y)}};
+  const geom::Rect inter = sub.intersect(area_);
   if (inter.empty()) throw std::invalid_argument("clip outside routing area");
   RoutingGrid g(inter);
   for (int y = inter.lo.y; y <= inter.hi.y; ++y) {
     for (int x = inter.lo.x; x <= inter.hi.x; ++x) {
-      g.at({x, y}) = at({x, y});
+      g.at({x, y}) = cell({x, y});
     }
   }
   return g;

@@ -41,30 +41,72 @@ class RoutingGrid {
   void clear_claim(geom::Point p);
 
   // ----- state queries -------------------------------------------------------
-  bool blocked(geom::Point p) const;
-  NetId terminal_owner(geom::Point p) const;
-  NetId claim_owner(geom::Point p) const;
-  NetId h_net(geom::Point p) const;
-  NetId v_net(geom::Point p) const;
+  /// One grid point's state.  Its predicates are the rules behind the point
+  /// queries below, so a caller holding one cell (the search core's hot
+  /// loop) derives all of them from a single load.
+  struct Cell {
+    NetId h = kNone;
+    NetId v = kNone;
+    NetId owner = kNone;
+    NetId claim = kNone;
+    bool blocked = false;
+
+    bool enterable(NetId n) const {
+      return (!blocked || owner == n) && (claim == kNone || claim == n);
+    }
+    bool passable(NetId n, bool horizontal) const {
+      return enterable(n) && (horizontal ? h : v) == kNone;
+    }
+    bool can_turn(NetId n) const { return enterable(n) && h == kNone && v == kNone; }
+    bool crosses(NetId n, bool horizontal) const {
+      const NetId other = horizontal ? v : h;
+      return other != kNone && other != n;
+    }
+    bool occupied_by(NetId n) const { return h == n || v == n; }
+    bool node_free(NetId n) const {
+      return (h == kNone || h == n) && (v == kNone || v == n);
+    }
+  };
+
+  /// The cell at `p`, which must be in bounds (unchecked).
+  const Cell& cell(geom::Point p) const { return cells_[index(p)]; }
+
+  bool blocked(geom::Point p) const { return !in_bounds(p) || cell(p).blocked; }
+  NetId terminal_owner(geom::Point p) const { return in_bounds(p) ? cell(p).owner : kNone; }
+  NetId claim_owner(geom::Point p) const { return in_bounds(p) ? cell(p).claim : kNone; }
+  NetId h_net(geom::Point p) const { return in_bounds(p) ? cell(p).h : kNone; }
+  NetId v_net(geom::Point p) const { return in_bounds(p) ? cell(p).v : kNone; }
 
   /// May net `n` be present at `p` at all (bounds, modules, claims,
   /// foreign terminal cells)?
-  bool enterable(geom::Point p, NetId n) const;
+  bool enterable(geom::Point p, NetId n) const {
+    return in_bounds(p) && cell(p).enterable(n);
+  }
   /// May net `n` run through `p` in the given orientation?  Own occupancy
   /// also blocks (re-using a track would overlap the net with itself; the
   /// router treats own-net cells as join targets instead).
-  bool passable(geom::Point p, NetId n, bool horizontal) const;
+  bool passable(geom::Point p, NetId n, bool horizontal) const {
+    return in_bounds(p) && cell(p).passable(n, horizontal);
+  }
   /// May net `n` place a corner (or branch) at `p`?  Requires both
   /// orientations free: a bend obstructs the whole point.
-  bool can_turn(geom::Point p, NetId n) const;
+  bool can_turn(geom::Point p, NetId n) const {
+    return in_bounds(p) && cell(p).can_turn(n);
+  }
   /// Does a move through `p` in the given orientation cross a foreign net?
-  bool crosses_at(geom::Point p, NetId n, bool horizontal) const;
+  bool crosses_at(geom::Point p, NetId n, bool horizontal) const {
+    return in_bounds(p) && cell(p).crosses(n, horizontal);
+  }
   /// Is `p` occupied by net `n` itself (either orientation)?
-  bool occupied_by(geom::Point p, NetId n) const;
+  bool occupied_by(geom::Point p, NetId n) const {
+    return in_bounds(p) && cell(p).occupied_by(n);
+  }
   /// May net `n` place a *node* (endpoint, corner, branch) at `p`?  Both
   /// orientations must be free or already net `n`'s own: a node of one net
   /// may not be touched by any other net.
-  bool node_free(geom::Point p, NetId n) const;
+  bool node_free(geom::Point p, NetId n) const {
+    return in_bounds(p) && cell(p).node_free(n);
+  }
 
   // ----- net commitment ------------------------------------------------------
   /// One orientation slot written by occupy_polyline (undo/replay record
@@ -107,16 +149,10 @@ class RoutingGrid {
   RoutingGrid clipped(geom::Rect sub) const;
 
  private:
-  struct Cell {
-    NetId h = kNone;
-    NetId v = kNone;
-    NetId owner = kNone;
-    NetId claim = kNone;
-    bool blocked = false;
-  };
-
-  Cell& at(geom::Point p);
-  const Cell& at(geom::Point p) const;
+  size_t index(geom::Point p) const {
+    return static_cast<size_t>(p.y - area_.lo.y) * width_ + (p.x - area_.lo.x);
+  }
+  Cell& at(geom::Point p) { return cells_[index(p)]; }
 
   geom::Rect area_;
   int width_ = 0;  // number of columns

@@ -1,8 +1,13 @@
 #include "serve/session_host.hpp"
 
+#include <fcntl.h>
+#include <unistd.h>
+
 #include <algorithm>
+#include <cerrno>
 #include <charconv>
 #include <chrono>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <future>
@@ -80,6 +85,51 @@ HostResult guarded(Fn&& fn) {
   } catch (const std::exception& e) {
     return HostResult::error(err::kInternal, e.what());
   }
+}
+
+/// Replaces `path` with `text` so that a crash or a full disk mid-save
+/// never destroys the previous file: the bytes go to `tmp`, are flushed
+/// and fsynced, `tmp` is renamed over `path`, and the directory is fsynced
+/// so the rename itself is durable.  Any failure before the rename leaves
+/// `path` untouched and removes `tmp`.  Returns what failed, or "" on
+/// success.
+std::string replace_file(const std::string& path, const std::string& tmp,
+                         const std::string& text) {
+  auto why = [](const char* what, const std::string& file) {
+    return what + file + ": " + std::strerror(errno);
+  };
+  const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
+  if (fd < 0) return why("cannot create ", tmp);
+  auto fail = [&](const char* what) {
+    std::string msg = why(what, tmp);
+    ::close(fd);
+    ::unlink(tmp.c_str());
+    return msg;
+  };
+  for (size_t done = 0; done < text.size();) {
+    const ssize_t n = ::write(fd, text.data() + done, text.size() - done);
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) return fail("cannot write ");
+    done += static_cast<size_t>(n);
+  }
+  if (::fsync(fd) != 0) return fail("cannot sync ");
+  if (::close(fd) != 0) {
+    std::string msg = why("cannot close ", tmp);
+    ::unlink(tmp.c_str());
+    return msg;
+  }
+  if (::rename(tmp.c_str(), path.c_str()) != 0) {
+    std::string msg = why("cannot rename onto ", path);
+    ::unlink(tmp.c_str());
+    return msg;
+  }
+  const std::string dir = std::filesystem::path(path).parent_path().string();
+  const int dfd = ::open(dir.empty() ? "." : dir.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC);
+  if (dfd < 0) return why("cannot open directory ", dir);
+  const bool synced = ::fsync(dfd) == 0;
+  std::string msg = synced ? "" : why("cannot sync directory ", dir);
+  ::close(dfd);
+  return msg;
 }
 
 /// Bridges an async call onto a blocking one.
@@ -348,12 +398,10 @@ HostResult SessionHost::save_locked(Session& s, const std::string& name) {
     r.payload = std::move(text);
     return r;
   }
-  std::ofstream out(state_path(name), std::ios::trunc);
-  out << text;
-  out.close();
-  if (!out) {
-    return HostResult::error(err::kInternal,
-                             "cannot write " + state_path(name));
+  if (std::string why = replace_file(state_path(name),
+                                     opt_.state_dir + "/" + name + ".tmp", text);
+      !why.empty()) {
+    return HostResult::error(err::kInternal, std::move(why));
   }
   s.dirty = false;
   r.seq = s.seq;

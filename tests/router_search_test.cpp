@@ -1,8 +1,14 @@
 // Unit tests for the single-connection search engines: line expansion
 // (min bends -> crossings -> length), Lee (min length), Hightower
-// (escape-line heuristic) and the straight-line fast path.
+// (escape-line heuristic) and the straight-line fast path, plus a seeded
+// oracle check of the search core's open set against a reference queue.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <queue>
+#include <random>
+
+#include "route/dijkstra.hpp"
 #include "route/router.hpp"
 
 namespace na {
@@ -369,6 +375,258 @@ TEST(FindPath, Dispatch) {
   EXPECT_TRUE(find_path(Engine::LineExpansion, g, p).has_value());
   EXPECT_TRUE(find_path(Engine::Lee, g, p).has_value());
   EXPECT_TRUE(find_path(Engine::Hightower, g, p).has_value());
+}
+
+// --- search core oracle --------------------------------------------------------
+
+/// Packed key of a cost triple in `mode` (20 bits per field).
+std::uint64_t pack(const PathCost& c, detail::CostMode mode) {
+  const auto f = [](int v) { return static_cast<std::uint64_t>(v); };
+  switch (mode) {
+    case detail::CostMode::BendsCrossingsLength:
+      return f(c.bends) << 40 | f(c.crossings) << 20 | f(c.length);
+    case detail::CostMode::BendsLengthCrossings:
+      return f(c.bends) << 40 | f(c.length) << 20 | f(c.crossings);
+    case detail::CostMode::LengthOnly:
+      return f(c.length);
+  }
+  return 0;
+}
+
+struct ReferenceResult {
+  SearchResult result;
+  std::uint64_t goal_key = 0;
+};
+
+/// The search core's specification, written the plain way: a
+/// std::priority_queue ordered by (key, push sequence number), cost
+/// triples carried in the entries and packed into keys, and the grid's
+/// point queries.  Same states, same relaxation order, same traceback.
+std::optional<ReferenceResult> reference_search(const RoutingGrid& grid,
+                                                const SearchProblem& prob,
+                                                detail::CostMode mode) {
+  struct Entry {
+    std::uint64_t key;
+    std::uint32_t seq;
+    int state;
+    PathCost cost;
+  };
+  struct After {
+    bool operator()(const Entry& a, const Entry& b) const {
+      return a.key != b.key ? a.key > b.key : a.seq > b.seq;
+    }
+  };
+  const geom::Rect area = grid.area();
+  const int w = area.width() + 1;
+  const int goal = w * (area.height() + 1) * 4;
+  const geom::Rect win = prob.window.value_or(area);
+  auto state_of = [&](geom::Point p, geom::Dir d) {
+    return ((p.y - area.lo.y) * w + (p.x - area.lo.x)) * 4 + static_cast<int>(d);
+  };
+  auto point_of = [&](int s) {
+    return geom::Point{area.lo.x + s / 4 % w, area.lo.y + s / 4 / w};
+  };
+  auto dir_of = [](int s) { return static_cast<geom::Dir>(s % 4); };
+
+  std::vector<std::uint64_t> best(goal + 1, ~std::uint64_t{0});
+  std::vector<int> parent(goal + 1, -1);
+  std::priority_queue<Entry, std::vector<Entry>, After> open;
+  std::uint32_t seq = 0;
+  auto relax = [&](int state, int from, const PathCost& c) {
+    const std::uint64_t key = pack(c, mode);
+    if (key < best[state]) {
+      best[state] = key;
+      parent[state] = from;
+      open.push({key, seq++, state, c});
+    }
+  };
+  for (const SearchStart& s : prob.starts) {
+    if (!win.contains(s.p) || !grid.node_free(s.p, prob.net)) continue;
+    for (geom::Dir d : geom::kAllDirs) {
+      if (!s.dir || *s.dir == d) relax(state_of(s.p, d), -1, {});
+    }
+  }
+  long expansions = 0;
+  while (!open.empty()) {
+    const Entry e = open.top();
+    open.pop();
+    if (e.key != best[e.state]) continue;
+    if (e.state == goal) {
+      ReferenceResult r;
+      r.goal_key = e.key;
+      r.result.cost = e.cost;
+      r.result.expansions = expansions;
+      std::vector<geom::Point> chain;
+      for (int s = parent[goal]; s != -1; s = parent[s]) chain.push_back(point_of(s));
+      std::reverse(chain.begin(), chain.end());
+      chain.push_back(prob.target ? prob.target->p
+                                  : point_of(parent[goal]) + geom::delta(dir_of(parent[goal])));
+      for (const geom::Point& p : chain) {
+        std::vector<geom::Point>& path = r.result.path;
+        if (!path.empty() && path.back() == p) continue;
+        if (path.size() >= 2) {
+          const geom::Point a = path[path.size() - 2];
+          const geom::Point b = path.back();
+          if ((a.x == b.x && b.x == p.x) || (a.y == b.y && b.y == p.y)) {
+            path.back() = p;
+            continue;
+          }
+        }
+        path.push_back(p);
+      }
+      return r;
+    }
+    if (++expansions > prob.max_expansions) return std::nullopt;
+    const geom::Point p = point_of(e.state);
+    const geom::Dir d = dir_of(e.state);
+    const geom::Point q = p + geom::delta(d);
+    const bool horiz = geom::is_horizontal(d);
+    if (win.contains(q)) {
+      PathCost c = e.cost;
+      c.length += 1;
+      const bool arrivable = grid.enterable(q, prob.net) && grid.node_free(q, prob.net);
+      const bool is_target = prob.target && q == prob.target->p &&
+                             (!prob.target->facing || d == geom::opposite(*prob.target->facing)) &&
+                             arrivable;
+      const bool is_join = prob.join_own_net && arrivable && grid.occupied_by(q, prob.net);
+      if (is_target || is_join) {
+        relax(goal, e.state, c);
+      } else if (grid.passable(q, prob.net, horiz) && !grid.occupied_by(q, prob.net)) {
+        c.crossings += grid.crosses_at(q, prob.net, horiz) ? 1 : 0;
+        relax(state_of(q, d), e.state, c);
+      }
+    }
+    if (grid.can_turn(p, prob.net)) {
+      for (geom::Dir nd : geom::kAllDirs) {
+        if (geom::is_horizontal(nd) == horiz) continue;
+        PathCost c = e.cost;
+        c.bends += 1;
+        relax(state_of(p, nd), e.state, c);
+      }
+    }
+  }
+  return std::nullopt;
+}
+
+struct Scenario {
+  RoutingGrid grid{{{0, 0}, {1, 1}}};
+  SearchProblem prob;
+};
+
+/// A seeded random plane (offset origin, module blocks, foreign and own
+/// nets, claims, a terminal) and a target or join problem on it, sometimes
+/// windowed.  Net 0 is the searching net.
+Scenario random_scenario(std::mt19937& rng) {
+  auto uni = [&](int lo, int hi) { return std::uniform_int_distribution<int>(lo, hi)(rng); };
+  auto dir = [&]() { return geom::kAllDirs[uni(0, 3)]; };
+  const int size = uni(6, 32);
+  const geom::Point lo = {uni(-5, 5), uni(-5, 5)};
+  Scenario sc;
+  sc.grid = RoutingGrid({lo, {lo.x + size, lo.y + uni(size / 2, size)}});
+  RoutingGrid& g = sc.grid;
+  const geom::Rect area = g.area();
+  auto point = [&]() {
+    return geom::Point{uni(area.lo.x, area.hi.x), uni(area.lo.y, area.hi.y)};
+  };
+  for (int i = uni(0, size / 3); i > 0; --i) {
+    const geom::Point a = point();
+    g.block_rect({a, {a.x + uni(0, 4), a.y + uni(0, 4)}});
+  }
+  // Two-segment nets: net 0 is the searching net's own geometry.
+  for (NetId n = 0; n < 6; ++n) {
+    for (int tries = uni(0, 3); tries > 0; --tries) {
+      const geom::Point a = point();
+      const geom::Point b = point();
+      const geom::Point pts[] = {a, {b.x, a.y}, b};
+      if (g.polyline_fits(n, pts)) g.occupy_polyline(n, pts);
+    }
+  }
+  for (int i = uni(0, 4); i > 0; --i) g.set_claim(point(), uni(0, 2));
+
+  SearchProblem& p = sc.prob;
+  p.net = 0;
+  for (int i = uni(1, 3); i > 0; --i) {
+    p.starts.push_back({point(), uni(0, 2) ? std::optional<geom::Dir>(dir()) : std::nullopt});
+  }
+  p.join_own_net = uni(0, 2) == 0;
+  if (!p.join_own_net || uni(0, 1)) {
+    p.target = SearchTarget{point(), uni(0, 1) ? std::optional<geom::Dir>(dir()) : std::nullopt};
+    if (uni(0, 1)) g.set_terminal(p.target->p, 0);
+  }
+  if (uni(0, 2) == 0) {
+    // Around the first start and the target or a random point, sometimes
+    // reaching past the plane's edge.
+    const geom::Point b = p.target ? p.target->p : point();
+    p.window = geom::Rect{p.starts[0].p, p.starts[0].p}.hull(b).expanded(uni(0, 3));
+  }
+  return sc;
+}
+
+void expect_same(const std::optional<SearchResult>& got,
+                 const std::optional<ReferenceResult>& want, detail::CostMode mode,
+                 const std::string& what) {
+  ASSERT_EQ(got.has_value(), want.has_value()) << what;
+  if (!got) return;
+  EXPECT_EQ(got->path, want->result.path) << what;
+  EXPECT_EQ(got->cost.bends, want->result.cost.bends) << what;
+  EXPECT_EQ(got->cost.crossings, want->result.cost.crossings) << what;
+  EXPECT_EQ(got->cost.length, want->result.cost.length) << what;
+  EXPECT_EQ(got->expansions, want->result.expansions) << what;
+  // The cost recounted along the chain decodes to the key the goal popped at.
+  EXPECT_EQ(pack(got->cost, mode), want->goal_key) << what;
+}
+
+TEST(SearchCore, LaneOpenSetMatchesReferenceQueue) {
+  const detail::CostMode modes[] = {detail::CostMode::BendsCrossingsLength,
+                                    detail::CostMode::BendsLengthCrossings,
+                                    detail::CostMode::LengthOnly};
+  std::mt19937 rng(20261017);
+  detail::SearchWorkspace ws;  // reused across searches, as the driver does
+  int found = 0, windowed = 0, joins = 0, exhausted = 0;
+  for (int round = 0; round < 300; ++round) {
+    Scenario sc = random_scenario(rng);
+    for (detail::CostMode mode : modes) {
+      const std::string what =
+          "round " + std::to_string(round) + " mode " + std::to_string(static_cast<int>(mode));
+      const auto want = reference_search(sc.grid, sc.prob, mode);
+      const auto got = detail::grid_search(sc.grid, sc.prob, mode, round % 2 ? &ws : nullptr);
+      expect_same(got, want, mode, what);
+      if (!got || !want) continue;
+      ++found;
+      windowed += sc.prob.window.has_value();
+      joins += sc.prob.join_own_net;
+      // A budget of exactly the expansions used still succeeds; one less
+      // exhausts it in both searches.
+      SearchProblem tight = sc.prob;
+      tight.max_expansions = got->expansions;
+      expect_same(detail::grid_search(sc.grid, tight, mode, &ws),
+                  reference_search(sc.grid, tight, mode), mode, what + " tight");
+      if (got->expansions == 0) continue;
+      tight.max_expansions = got->expansions - 1;
+      const auto cut = detail::grid_search(sc.grid, tight, mode, &ws);
+      EXPECT_FALSE(cut.has_value()) << what;
+      EXPECT_FALSE(reference_search(sc.grid, tight, mode).has_value()) << what;
+      exhausted += !cut.has_value();
+    }
+  }
+  // The seed covers every kind of problem.
+  EXPECT_GT(found, 300);
+  EXPECT_GT(windowed, 50);
+  EXPECT_GT(joins, 50);
+  EXPECT_GT(exhausted, 200);
+}
+
+TEST(SearchCore, LeeCostCountsCrossingsItDoesNotOrderBy) {
+  // Lee's key is length alone; the reported cost still counts the
+  // crossings and bends of the path it found.
+  RoutingGrid g = open_grid(20);
+  const geom::Point foreign[] = {{10, 0}, {10, 20}};
+  g.occupy_polyline(7, foreign);
+  const auto r = lee_search(g, p2p(0, {2, 2}, geom::Dir::Right, {15, 8}, geom::Dir::Left));
+  ASSERT_TRUE(r.has_value());
+  EXPECT_EQ(r->cost.length, 19);
+  EXPECT_EQ(r->cost.crossings, 1);
+  EXPECT_GE(r->cost.bends, 2);
 }
 
 }  // namespace

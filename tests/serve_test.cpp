@@ -29,6 +29,7 @@
 #include "schematic/escher_writer.hpp"
 #include "serve/client.hpp"
 #include "serve/server.hpp"
+#include "serve/session_host.hpp"
 
 using namespace na;
 using namespace na::serve;
@@ -167,6 +168,31 @@ std::string composed_reference(const std::string& design,
   return to_escher_diagram(regen.diagram(), session);
 }
 
+/// An empty state directory private to this process and `tag`.
+std::string fresh_state_dir(const std::string& tag) {
+  const std::string dir =
+      (std::filesystem::temp_directory_path() /
+       ("na_serve_test_" + tag + "_" + std::to_string(::getpid())))
+          .string();
+  std::filesystem::remove_all(dir);
+  return dir;
+}
+
+std::vector<EditCmd> add_module_edit(int i) {
+  EditCmd c;
+  c.kind = EditCmd::Kind::kAddModule;
+  c.name = "mod" + std::to_string(i);
+  c.pos = {4, 3};
+  return {c};
+}
+
+std::string read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::stringstream ss;
+  ss << in.rdbuf();
+  return ss.str();
+}
+
 }  // namespace
 
 TEST(Serve, OpenEditGetMatchesLocalSession) {
@@ -288,6 +314,64 @@ TEST(Serve, KillRestartRestoresByteIdentical) {
     EXPECT_EQ(got, want) << "restored session diverged from the "
                             "never-restarted reference";
   }
+  std::filesystem::remove_all(state);
+}
+
+TEST(Serve, SaveReplacesStateFileAndLeavesNoTmp) {
+  const std::string state = fresh_state_dir("atomic_save");
+  HostOptions opt;
+  opt.threads = 2;
+  opt.state_dir = state;
+  std::string want;
+  {
+    SessionHost host(opt);
+    ASSERT_TRUE(host.open("k", "chain", false).ok);
+    for (int i = 0; i < 2; ++i) {
+      ASSERT_TRUE(host.edit("k", add_module_edit(i)).ok);
+      const HostResult r = host.save("k");
+      ASSERT_TRUE(r.ok) << r.message;
+      EXPECT_TRUE(std::filesystem::exists(state + "/k.session"));
+      EXPECT_FALSE(std::filesystem::exists(state + "/k.tmp"));
+    }
+    want = host.get("k", "escher").payload;
+  }
+  SessionHost restored(opt);
+  ASSERT_TRUE(restored.open("k", "", true).ok);
+  EXPECT_EQ(restored.get("k", "escher").payload, want);
+  std::filesystem::remove_all(state);
+}
+
+TEST(Serve, FailedSaveKeepsPreviousStateRestorable) {
+  const std::string state = fresh_state_dir("failed_save");
+  HostOptions opt;
+  opt.threads = 2;
+  opt.state_dir = state;
+  std::string saved_bytes;
+  std::string saved_render;
+  {
+    SessionHost host(opt);
+    ASSERT_TRUE(host.open("k", "chain", false).ok);
+    ASSERT_TRUE(host.edit("k", add_module_edit(0)).ok);
+    ASSERT_TRUE(host.save("k").ok);
+    saved_bytes = read_file(state + "/k.session");
+    saved_render = host.get("k", "escher").payload;
+    ASSERT_FALSE(saved_bytes.empty());
+
+    // A directory squatting on the tmp path makes the next save fail
+    // before anything touches the state file.
+    std::filesystem::create_directory(state + "/k.tmp");
+    ASSERT_TRUE(host.edit("k", add_module_edit(1)).ok);
+    const HostResult r = host.save("k");
+    EXPECT_FALSE(r.ok);
+    ASSERT_NE(r.error_code, nullptr);
+    EXPECT_STREQ(r.error_code, err::kInternal);
+    EXPECT_NE(r.message.find("k.tmp"), std::string::npos) << r.message;
+    EXPECT_EQ(read_file(state + "/k.session"), saved_bytes);
+  }
+  std::filesystem::remove(state + "/k.tmp");
+  SessionHost restored(opt);
+  ASSERT_TRUE(restored.open("k", "", true).ok);
+  EXPECT_EQ(restored.get("k", "escher").payload, saved_render);
   std::filesystem::remove_all(state);
 }
 
