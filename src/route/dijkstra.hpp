@@ -11,7 +11,9 @@
 // reachable state is eventually expanded.
 #pragma once
 
+#include <array>
 #include <cstdint>
+#include <limits>
 
 #include "route/router.hpp"
 #include "route/search_workspace.hpp"
@@ -25,14 +27,47 @@ enum class CostMode {
   LengthOnly,  ///< Lee
 };
 
+/// The packed cost key of a path in `mode`: the key its goal state pops at.
+std::uint64_t pack_cost(const PathCost& c, CostMode mode);
+
+/// "No upper bound yet": bound pruning starts once the goal is pushed.
+inline constexpr std::uint64_t kNoBound = std::numeric_limits<std::uint64_t>::max();
+
+/// Bound pruning of one search (DESIGN §1 "Bound pruning").  Any state
+/// whose key plus an admissible lower bound on its remaining cost exceeds
+/// the upper bound is skipped; the bound drops to the goal's key as soon as
+/// the goal is pushed.  The path found and its cost are those of the
+/// unpruned search; only the expansion count shrinks.
+struct SearchBound {
+  /// Packed cost no smaller than the optimum (a path's pack_cost), or none.
+  std::uint64_t key = kNoBound;
+  /// Join problems: a rectangle holding every cell a join may end on; the
+  /// lower bound then measures the distance to it.  Without it, a join's
+  /// remaining cost is bounded by 0.
+  std::optional<geom::Rect> join_hull;
+};
+
+/// Lower bounds on the bends still needed from a state heading `d` to a
+/// target whose offset from the state's point has signs (sx, sy), entering
+/// it with heading `entry` (nullopt: any heading).  Indexed by bend_index.
+using BendTable = std::array<std::uint8_t, 36>;
+BendTable bend_lower_bounds(std::optional<geom::Dir> entry);
+constexpr int bend_index(geom::Dir d, int sx, int sy) {
+  return static_cast<int>(d) * 9 + (sx + 1) * 3 + (sy + 1);
+}
+
 /// Runs the search; returns std::nullopt when no path exists (or the
 /// expansion budget is exhausted).  With a workspace the search reuses its
 /// scratch arrays instead of allocating per call (identical results either
 /// way); with an observation mask it records every examined cell for the
-/// speculative parallel driver's commit-time validation.
+/// speculative parallel driver's commit-time validation.  With `bound` the
+/// search prunes (same result, fewer expansions).  `expanded`, when given,
+/// receives the number of states expanded, also when the search fails.
 std::optional<SearchResult> grid_search(const RoutingGrid& grid,
                                         const SearchProblem& prob, CostMode mode,
                                         SearchWorkspace* ws = nullptr,
-                                        ObservedMask* observed = nullptr);
+                                        ObservedMask* observed = nullptr,
+                                        const SearchBound* bound = nullptr,
+                                        long* expanded = nullptr);
 
 }  // namespace na::detail

@@ -20,6 +20,11 @@
 // broken by push order.  Every edge adds a fixed per-mode delta to the key
 // (one per OpenSet lane), so the key is never unpacked during the search;
 // the reported PathCost is recounted along the traced state chain.
+//
+// With a SearchBound the search prunes: a state whose key plus an
+// admissible lower bound on its remaining cost exceeds a proven upper bound
+// can lie on no optimal path, so it is neither pushed nor expanded.  The
+// surviving states keep their (key, seq) order, so the path is unchanged.
 #include "route/dijkstra.hpp"
 
 #include <algorithm>
@@ -54,11 +59,80 @@ std::array<std::uint64_t, OpenSet::kLanes> lane_deltas(CostMode mode) {
   return {};
 }
 
+/// The lower bound h(p, d) of bound pruning: the bends the table still
+/// requires at the bend delta, plus the distance to the goal region at the
+/// straight-step delta (the cheapest step of every mode).  Branch-free: the
+/// table is indexed by the signs of the offset to the goal region.
+class LowerBound {
+ public:
+  LowerBound(geom::Rect goal, const BendTable& bends, std::uint64_t bend_delta,
+             std::uint64_t step_delta)
+      : goal_(goal), step_(step_delta) {
+    for (size_t i = 0; i < bends.size(); ++i) bend_cost_[i] = bends[i] * bend_delta;
+  }
+
+  std::uint64_t operator()(geom::Point p, geom::Dir d) const {
+    const int sx = (p.x < goal_.lo.x) - (p.x > goal_.hi.x);
+    const int sy = (p.y < goal_.lo.y) - (p.y > goal_.hi.y);
+    const int dist = std::max({goal_.lo.x - p.x, p.x - goal_.hi.x, 0}) +
+                     std::max({goal_.lo.y - p.y, p.y - goal_.hi.y, 0});
+    return bend_cost_[bend_index(d, sx, sy)] + static_cast<std::uint64_t>(dist) * step_;
+  }
+
+ private:
+  geom::Rect goal_;
+  std::array<std::uint64_t, std::tuple_size_v<BendTable>> bend_cost_{};
+  std::uint64_t step_;
+};
+
 }  // namespace
+
+std::uint64_t pack_cost(const PathCost& c, CostMode mode) {
+  const auto f = [](int v) { return static_cast<std::uint64_t>(v); };
+  switch (mode) {
+    case CostMode::BendsCrossingsLength:
+      return f(c.bends) << 40 | f(c.crossings) << 20 | f(c.length);
+    case CostMode::BendsLengthCrossings:
+      return f(c.bends) << 40 | f(c.length) << 20 | f(c.crossings);
+    case CostMode::LengthOnly:
+      return f(c.length);
+  }
+  return 0;
+}
+
+BendTable bend_lower_bounds(std::optional<geom::Dir> entry) {
+  BendTable table{};
+  for (geom::Dir d : geom::kAllDirs) {
+    const geom::Point ahead = geom::delta(d);
+    for (int sx = -1; sx <= 1; ++sx) {
+      for (int sy = -1; sy <= 1; ++sy) {
+        const int along = sx * ahead.x + sy * ahead.y;
+        const int across = geom::is_horizontal(d) ? sy : sx;
+        // Straight ahead: none; ahead or level but off the line: one;
+        // behind: two.
+        int bends = along < 0 ? 2 : across != 0 ? 1 : 0;
+        if (entry) {
+          // Every bend switches axis, so the entry heading fixes the
+          // parity; reversing onto it takes two.
+          if (geom::is_horizontal(*entry) == geom::is_horizontal(d)) {
+            bends += bends % 2;
+            if (d != *entry) bends = std::max(bends, 2);
+          } else {
+            bends += 1 - bends % 2;
+          }
+        }
+        table[bend_index(d, sx, sy)] = static_cast<std::uint8_t>(bends);
+      }
+    }
+  }
+  return table;
+}
 
 std::optional<SearchResult> grid_search(const RoutingGrid& grid,
                                         const SearchProblem& prob, CostMode mode,
-                                        SearchWorkspace* ws, ObservedMask* observed) {
+                                        SearchWorkspace* ws, ObservedMask* observed,
+                                        const SearchBound* bound, long* expanded) {
+  if (expanded) *expanded = 0;
   if (prob.starts.empty()) return std::nullopt;
   if (!prob.target && !prob.join_own_net) {
     throw std::invalid_argument("search problem without destination");
@@ -66,8 +140,13 @@ std::optional<SearchResult> grid_search(const RoutingGrid& grid,
   SearchWorkspace local;
   if (!ws) ws = &local;
   const geom::Rect area = grid.area();
-  const int w = area.width() + 1;
-  const int h = area.height() + 1;
+  const bool windowed = prob.window.has_value();
+  const geom::Rect win = windowed ? *prob.window : area;
+  // Points a step may land on: the window's part of the plane.  States are
+  // indexed over it, so a windowed search's tables are window-sized.
+  const geom::Rect reach = win.intersect(area);
+  const int w = reach.width() + 1;
+  const int h = reach.height() + 1;
   const int ncells = w * h;
   const int nstates = ncells * 4;
   const int goal_state = nstates;  // virtual goal
@@ -78,27 +157,51 @@ std::optional<SearchResult> grid_search(const RoutingGrid& grid,
   if (static_cast<std::uint64_t>(ncells) > std::numeric_limits<std::uint32_t>::max() / 16) {
     throw std::length_error("routing plane too large for the search core");
   }
-  const bool windowed = prob.window.has_value();
-  const geom::Rect win = windowed ? *prob.window : area;
-  // Points a step may land on: the window's part of the plane.
-  const geom::Rect reach = win.intersect(area);
 
   auto state_of = [&](geom::Point p, geom::Dir d) {
-    return ((p.y - area.lo.y) * w + (p.x - area.lo.x)) * 4 + static_cast<int>(d);
+    return ((p.y - reach.lo.y) * w + (p.x - reach.lo.x)) * 4 + static_cast<int>(d);
   };
   auto point_of = [&](int state) {
     const int cell = state / 4;
-    return geom::Point{area.lo.x + cell % w, area.lo.y + cell / w};
+    return geom::Point{reach.lo.x + cell % w, reach.lo.y + cell / w};
   };
   auto dir_of = [&](int state) { return static_cast<geom::Dir>(state % 4); };
 
-  ws->begin(nstates + 1);
-  const SearchWorkspace::View visited = ws->view();
+  StateTable& table = ws->begin(nstates + 1, windowed);
+  const StateTable::View visited = table.view();
   OpenSet& open = ws->open();
   const std::array<std::uint64_t, OpenSet::kLanes> delta = lane_deltas(mode);
 
-  auto relax = [&](int lane, int state, int from, std::uint64_t key) {
-    if (key < visited.best(state)) {
+  const NetId net = prob.net;
+  const bool has_target = prob.target.has_value();
+  const geom::Point target = has_target ? prob.target->p : geom::Point{};
+  // The heading a step must have to enter the target (nullopt: any).
+  const std::optional<geom::Dir> entry =
+      has_target && prob.target->facing ? std::optional(geom::opposite(*prob.target->facing))
+                                        : std::nullopt;
+  const int target_entry = entry ? static_cast<int>(*entry) : -1;
+
+  // Bound pruning.  `upper` stays kNoBound without a SearchBound, and
+  // until a bound exists each push and pop pays one predictable branch.
+  std::uint64_t upper = bound ? bound->key : kNoBound;
+  const LowerBound lower = [&] {
+    if (!prob.join_own_net) {
+      return LowerBound({target, target}, bend_lower_bounds(entry), delta[kBend],
+                        delta[kStraight]);
+    }
+    // A join may end on any own-net cell, or on the target if there is one.
+    geom::Rect goal = bound && bound->join_hull ? *bound->join_hull : area;
+    if (has_target) goal = goal.hull(target);
+    return LowerBound(goal, BendTable{}, 0, delta[kStraight]);
+  }();
+
+  // Forced inline: with the bound test GCC otherwise outlines the relax,
+  // and every push then reloads the search state through the closure
+  // (about a third slower per expansion, even with pruning off).
+  auto relax = [&](int lane, geom::Point q, geom::Dir d, int from, std::uint64_t key)
+                   __attribute__((always_inline)) {
+    const int state = state_of(q, d);
+    if (key < visited.best(state) && (upper == kNoBound || key + lower(q, d) <= upper)) {
       visited.record(state, key, from);
       open.push(lane, key, state);
     }
@@ -109,29 +212,24 @@ std::optional<SearchResult> grid_search(const RoutingGrid& grid,
     if (observed) observed->mark(s.p);
     // The start point becomes a node of this net as well.
     if (!grid.in_bounds(s.p) || !grid.node_free(s.p, prob.net)) continue;
-    if (s.dir) {
-      relax(kStraight, state_of(s.p, *s.dir), -1, 0);
-    } else {
-      for (geom::Dir d : geom::kAllDirs) relax(kStraight, state_of(s.p, d), -1, 0);
+    for (geom::Dir d : geom::kAllDirs) {
+      if (!s.dir || *s.dir == d) relax(kStraight, s.p, d, -1, 0);
     }
   }
 
-  const NetId net = prob.net;
-  const bool has_target = prob.target.has_value();
-  const geom::Point target = has_target ? prob.target->p : geom::Point{};
-  // The heading a step must have to enter the target, or -1 for any.
-  const int target_entry = has_target && prob.target->facing
-                               ? static_cast<int>(geom::opposite(*prob.target->facing))
-                               : -1;
   long expansions = 0;
   OpenEntry e;
   while (open.pop(e)) {
     if (e.key != visited.best(e.state)) continue;  // stale
     if (e.state == goal_state) break;
-    if (++expansions > prob.max_expansions) return std::nullopt;
-
     const geom::Point p = point_of(e.state);
     const geom::Dir d = dir_of(e.state);
+    // Pushed before the bound dropped below it.
+    if (upper != kNoBound && e.key + lower(p, d) > upper) continue;
+    if (++expansions > prob.max_expansions) {
+      if (expanded) *expanded = expansions - 1;
+      return std::nullopt;
+    }
     if (observed) observed->mark(p);
 
     // Straight step: extend the escape line one track.
@@ -150,10 +248,15 @@ std::optional<SearchResult> grid_search(const RoutingGrid& grid,
                              arrivable;
       const bool is_join = prob.join_own_net && arrivable && c.occupied_by(net);
       if (is_target || is_join) {
-        relax(kStraight, goal_state, e.state, e.key + delta[kStraight]);
+        const std::uint64_t key = e.key + delta[kStraight];
+        if (key < visited.best(goal_state) && key <= upper) {
+          visited.record(goal_state, key, e.state);
+          open.push(kStraight, key, goal_state);
+          if (bound) upper = key;
+        }
       } else if (c.passable(net, horiz) && !c.occupied_by(net)) {
         const int lane = c.crosses(net, horiz) ? kCrossing : kStraight;
-        relax(lane, state_of(q, d), e.state, e.key + delta[lane]);
+        relax(lane, q, d, e.state, e.key + delta[lane]);
       }
     }
     // Turns: start a perpendicular expansion wave (one bend deeper).  The
@@ -161,22 +264,23 @@ std::optional<SearchResult> grid_search(const RoutingGrid& grid,
     if (grid.cell(p).can_turn(net)) {
       for (geom::Dir nd : geom::kAllDirs) {
         if (geom::is_horizontal(nd) == geom::is_horizontal(d)) continue;
-        relax(kBend, state_of(p, nd), e.state, e.key + delta[kBend]);
+        relax(kBend, p, nd, e.state, e.key + delta[kBend]);
       }
     }
   }
+  if (expanded) *expanded = expansions;
 
-  if (ws->best(goal_state) == SearchWorkspace::kUnvisited) return std::nullopt;
+  if (table.best(goal_state) == StateTable::kUnvisited) return std::nullopt;
 
   // Trace back the state chain, recounting its cost (the key holds only
   // what the mode orders by): a state on the same point as its parent is a
   // turn, any other is a straight step.  The goal adds the final step.
   PathCost cost{0, 0, 1};
   std::vector<geom::Point> chain;
-  for (int s = ws->parent(goal_state); s != -1; s = ws->parent(s)) {
+  for (int s = table.parent(goal_state); s != -1; s = table.parent(s)) {
     const geom::Point p = point_of(s);
     chain.push_back(p);
-    const int from = ws->parent(s);
+    const int from = table.parent(s);
     if (from == -1) break;  // a start state
     if (from / 4 == s / 4) {
       ++cost.bends;
@@ -187,8 +291,8 @@ std::optional<SearchResult> grid_search(const RoutingGrid& grid,
   }
   std::reverse(chain.begin(), chain.end());
   chain.push_back(prob.target ? prob.target->p
-                              : point_of(ws->parent(goal_state)) +
-                                    geom::delta(dir_of(ws->parent(goal_state))));
+                              : point_of(table.parent(goal_state)) +
+                                    geom::delta(dir_of(table.parent(goal_state))));
   std::vector<geom::Point> path;
   for (const geom::Point& p : chain) {
     if (!path.empty() && path.back() == p) continue;  // turn-in-place states

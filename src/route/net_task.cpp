@@ -50,23 +50,16 @@ std::vector<ScoredPair> pairs_by_distance(const Diagram& dia,
   return pairs;
 }
 
-/// Engine dispatch with workspace/observation support for the grid-search
-/// engines (the baselines allocate internally and cannot be observed, so
-/// the parallel driver never runs them speculatively).
-std::optional<SearchResult> find_path_ws(Engine e, const RoutingGrid& grid,
-                                         const SearchProblem& prob,
-                                         SearchWorkspace& ws, ObservedMask* observed) {
+/// The search-core cost mode of an engine, or none for the baselines.
+std::optional<CostMode> grid_mode(Engine e, CostOrder order) {
   switch (e) {
     case Engine::LineExpansion:
-      return grid_search(grid, prob,
-                         prob.order == CostOrder::BendsLengthCrossings
-                             ? CostMode::BendsLengthCrossings
-                             : CostMode::BendsCrossingsLength,
-                         &ws, observed);
+      return order == CostOrder::BendsLengthCrossings ? CostMode::BendsLengthCrossings
+                                                      : CostMode::BendsCrossingsLength;
     case Engine::Lee:
-      return grid_search(grid, prob, CostMode::LengthOnly, &ws, observed);
+      return CostMode::LengthOnly;
     default:
-      return find_path(e, grid, prob);
+      return std::nullopt;
   }
 }
 
@@ -96,6 +89,15 @@ bool speculation_exact(const ObservedMask& observed,
 
 namespace {
 
+/// Bound pruning's pre-search: the window is the focus hull inflated by
+/// this many tracks, and runs only when it covers at most a quarter of the
+/// plane (DESIGN §1 gives the sweep behind both).
+constexpr int kPreSearchSlack = 12;
+
+long long cells(geom::Rect r) {
+  return r.empty() ? 0 : static_cast<long long>(r.width() + 1) * (r.height() + 1);
+}
+
 NetTaskResult route_single_net_impl(RoutingGrid& grid, const Diagram& dia, NetId n,
                                     std::vector<TermId> todo, const RouterOptions& opt,
                                     bool has_geometry, SearchWorkspace& ws,
@@ -104,10 +106,11 @@ NetTaskResult route_single_net_impl(RoutingGrid& grid, const Diagram& dia, NetId
   NetTaskResult out;
   if (todo.empty()) return out;
 
-  // Window support only exists in the grid-search engines.
-  const bool windowable =
-      opt.window_slack >= 0 &&
-      (opt.engine == Engine::LineExpansion || opt.engine == Engine::Lee);
+  // Windows and bound pruning only exist in the grid-search engines; the
+  // baselines allocate internally and cannot be observed, so the parallel
+  // driver never runs them speculatively.
+  const std::optional<CostMode> mode = grid_mode(opt.engine, opt.order);
+  const bool windowable = opt.window_slack >= 0 && mode;
 
   // Running hull of the net's geometry (polyline corners bound the cells).
   geom::Rect net_bbox;
@@ -124,19 +127,40 @@ NetTaskResult route_single_net_impl(RoutingGrid& grid, const Diagram& dia, NetId
 
   // Windowed search with full-plane fallback (identical results whenever
   // the windowed attempt fails; a windowed success may be a window-local
-  // optimum, which is why the knob defaults to off).
+  // optimum, which is why the knob defaults to off).  Without the knob,
+  // every grid search is bound-pruned (DESIGN §1): a pre-search inside a
+  // window around the focus, when the window is small next to the plane,
+  // supplies the upper bound for the exact full-plane search.
   auto engine_search = [&](SearchProblem& prob,
                            geom::Rect focus) -> std::optional<SearchResult> {
+    if (!mode) return find_path(opt.engine, grid, prob);
+    SearchBound bound;
+    if (prob.join_own_net) bound.join_hull = net_bbox;
+    auto search = [&](long* expanded) {
+      return grid_search(grid, prob, *mode, &ws, observed, &bound, expanded);
+    };
     if (windowable) {
       const geom::Rect win = focus.expanded(opt.window_slack);
       if (!win.contains(grid.area())) {
         prob.window = win;
-        auto r = find_path_ws(opt.engine, grid, prob, ws, observed);
+        auto r = search(nullptr);
         prob.window.reset();
         if (r) return r;
       }
+      return search(nullptr);
     }
-    return find_path_ws(opt.engine, grid, prob, ws, observed);
+    const geom::Rect pre_win = focus.expanded(kPreSearchSlack).intersect(grid.area());
+    long pre = 0;
+    if (4 * cells(pre_win) <= cells(grid.area())) {
+      prob.window = pre_win;
+      if (auto r = search(&pre)) bound.key = pack_cost(r->cost, *mode);
+      prob.window.reset();
+      ++out.pre_searches;
+      out.pre_expansions += pre;
+    }
+    auto r = search(nullptr);
+    if (r) r->expansions += pre;
+    return r;
   };
 
   // ----- initiation: first point-to-point connection --------------------
@@ -245,6 +269,8 @@ NetTaskResult route_single_net(RoutingGrid& grid, const Diagram& dia, NetId n,
   long long expansions = 0;
   for (const SearchResult& c : out.connections) expansions += c.expansions;
   span.arg("expansions", expansions);
+  span.arg("pre_searches", static_cast<long long>(out.pre_searches));
+  span.arg("pre_expansions", out.pre_expansions);
   // Cumulative per-thread expansion counter: viewers derive the router's
   // expansion *rate* from the slope of this series.
   {

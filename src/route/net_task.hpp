@@ -52,6 +52,10 @@ bool speculation_exact(const ObservedMask& observed,
 struct NetTaskResult {
   std::vector<SearchResult> connections;
   std::vector<TermId> failed;
+  /// Bound pruning's windowed pre-searches and the states they expanded
+  /// (each connection's `expansions` already includes its own share).
+  int pre_searches = 0;
+  long long pre_expansions = 0;
 };
 
 /// Routes as much of net `n` as possible on `grid`, starting from the

@@ -50,7 +50,10 @@ struct SearchProblem {
   std::optional<SearchTarget> target;  ///< fixed terminal destination...
   bool join_own_net = false;           ///< ...or attach to own routed geometry
   CostOrder order = CostOrder::BendsCrossingsLength;
-  long max_expansions = 2'000'000;     ///< safety valve for the search loops
+  /// Safety valve for the search loops: a search that would expand more
+  /// states fails.  The driver's bound-pruned searches expand a subset of
+  /// an unpruned search's states, so they fail only where it would too.
+  long max_expansions = 2'000'000;
   /// Optional search window: the grid-search engines treat points outside
   /// it as blocked.  The driver uses it to keep searches on large planes
   /// from touching O(W*H) state, retrying without the window on failure.
@@ -85,6 +88,8 @@ struct RouterOptions {
   bool use_claimpoints = true;
   bool retry_failed = true;  ///< second pass after all claims are released
   int margin = 4;            ///< empty tracks around the placement
+  /// Budget of each search (SearchProblem::max_expansions); a connection's
+  /// windowed pre-search and its full-plane search each get it.
   long max_expansions = 2'000'000;
   /// Net processing order (section 7 recommends studying this; see
   /// net_order.hpp for the available criteria).

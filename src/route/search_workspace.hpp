@@ -4,10 +4,10 @@
 // and a fresh open set; on large planes the allocation and paging cost
 // rivals the search itself.  A SearchWorkspace keeps those arrays alive
 // across searches and invalidates them in O(1) with a generation stamp: a
-// slot's contents are only meaningful when its stamp equals the
-// workspace's current generation, so "clearing" the arrays is a counter
-// increment.  One workspace serves one thread; the parallel driver keeps
-// one per worker.
+// slot's contents are only meaningful when its stamp equals the table's
+// current generation, so "clearing" the arrays is a counter increment.
+// One workspace serves one thread; the parallel driver keeps one per
+// worker.
 //
 // ObservedMask records exactly which grid cells a search batch read (every
 // grid query in the search core is single-cell, so the searches mark each
@@ -109,7 +109,8 @@ class OpenSet {
   std::uint32_t seq_ = 0;
 };
 
-class SearchWorkspace {
+/// Best keys and parents of one search's states.
+class StateTable {
  public:
   static constexpr std::uint64_t kUnvisited =
       std::numeric_limits<std::uint64_t>::max();
@@ -117,15 +118,15 @@ class SearchWorkspace {
   /// Search keys pack three 20-bit cost fields, so the top 4 bits of each
   /// slot are free to hold a generation stamp.  A slot is valid only when
   /// its stamp matches the current one; stamps cycle 1..15 (0 means
-  /// scrubbed), and every 15th begin() re-scrubs the array so a stale slot
-  /// can never alias a live stamp.  The array stays 8 bytes per state —
-  /// the same cache footprint as the plain `best` vector it replaces —
-  /// while "clearing" costs 1/15th of a fill on average instead of a full
-  /// allocate-and-fill per search.
+  /// scrubbed), and every 15th begin() re-scrubs the slots written since
+  /// the last scrub so a stale slot can never alias a live stamp.  The
+  /// array stays 8 bytes per state — the same cache footprint as a plain
+  /// `best` vector — while "clearing" costs 1/15th of a fill on average
+  /// instead of a full allocate-and-fill per search.
   static constexpr int kKeyBits = 60;
   static constexpr std::uint64_t kKeyMask = (std::uint64_t{1} << kKeyBits) - 1;
 
-  /// Prepares the workspace for a search over `nstates` states: grows the
+  /// Prepares the table for a search over `nstates` states: grows the
   /// arrays if needed and invalidates previous contents (amortized O(1)).
   void begin(int nstates) {
     const size_t need = static_cast<size_t>(nstates);
@@ -134,8 +135,12 @@ class SearchWorkspace {
       parent_.resize(need);
     }
     stamp_ = stamp_ % 15 + 1;
-    if (stamp_ == 1) std::fill(slots_.begin(), slots_.end(), 0);
-    open_.clear();
+    // Only slots below the largest search since the last scrub were written.
+    used_ = std::max(used_, need);
+    if (stamp_ == 1) {
+      std::fill(slots_.begin(), slots_.begin() + static_cast<std::ptrdiff_t>(used_), 0);
+      used_ = need;
+    }
   }
 
   /// Raw pointers into the (already sized) arrays for the search hot loop.
@@ -170,14 +175,33 @@ class SearchWorkspace {
   /// Only meaningful for states recorded in the current generation.
   int parent(int s) const { return parent_[s]; }
 
+ private:
+  std::vector<std::uint64_t> slots_;
+  std::vector<std::int32_t> parent_;
+  std::uint32_t stamp_ = 0;
+  size_t used_ = 0;  ///< slots possibly written since the last scrub
+};
+
+class SearchWorkspace {
+ public:
+  /// Prepares a search over `nstates` states and returns its table.  A
+  /// windowed search indexes its states by its window and gets a table of
+  /// its own: were its stamps drawn from the plane-sized table, each such
+  /// search would bring that table's full scrub one search closer.
+  StateTable& begin(int nstates, bool windowed) {
+    open_.clear();
+    StateTable& table = windowed ? window_ : plane_;
+    table.begin(nstates);
+    return table;
+  }
+
   /// The open set (cleared by begin(), driven by the search loop).
   OpenSet& open() { return open_; }
 
  private:
-  std::vector<std::uint64_t> slots_;
-  std::vector<std::int32_t> parent_;
+  StateTable plane_;
+  StateTable window_;
   OpenSet open_;
-  std::uint32_t stamp_ = 0;
 };
 
 /// Set of grid cells examined by the searches of one net-routing task.

@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <deque>
+#include <limits>
 #include <queue>
 #include <random>
 
@@ -614,6 +616,169 @@ TEST(SearchCore, LaneOpenSetMatchesReferenceQueue) {
   EXPECT_GT(windowed, 50);
   EXPECT_GT(joins, 50);
   EXPECT_GT(exhausted, 200);
+}
+
+/// Hull of every cell the searching net 0 occupies: the join hull the
+/// driver derives from the net's polylines, taken here from the grid itself.
+std::optional<geom::Rect> own_hull(const RoutingGrid& g) {
+  geom::Rect hull;
+  const geom::Rect a = g.area();
+  for (int y = a.lo.y; y <= a.hi.y; ++y) {
+    for (int x = a.lo.x; x <= a.hi.x; ++x) {
+      if (g.occupied_by({x, y}, 0)) hull = hull.hull(geom::Point{x, y});
+    }
+  }
+  if (hull.empty()) return std::nullopt;
+  return hull;
+}
+
+TEST(SearchCore, BoundedSearchMatchesUnbounded) {
+  const detail::CostMode modes[] = {detail::CostMode::BendsCrossingsLength,
+                                    detail::CostMode::BendsLengthCrossings,
+                                    detail::CostMode::LengthOnly};
+  std::mt19937 rng(20261018);
+  auto uni = [&](int lo, int hi) { return std::uniform_int_distribution<int>(lo, hi)(rng); };
+  detail::SearchWorkspace ws;
+  int found = 0, joins = 0, entries = 0, cut_off = 0, pruned = 0;
+  for (int round = 0; round < 300; ++round) {
+    Scenario sc = random_scenario(rng);
+    detail::SearchBound base;
+    if (sc.prob.join_own_net) base.join_hull = own_hull(sc.grid);
+    for (detail::CostMode mode : modes) {
+      const std::string what =
+          "round " + std::to_string(round) + " mode " + std::to_string(static_cast<int>(mode));
+      const auto want = detail::grid_search(sc.grid, sc.prob, mode, &ws);
+      // No initial bound: pruning starts when the goal is pushed.
+      long used = -1;
+      const auto open_bound =
+          detail::grid_search(sc.grid, sc.prob, mode, &ws, nullptr, &base, &used);
+      ASSERT_EQ(open_bound.has_value(), want.has_value()) << what;
+      if (!want) continue;
+      ++found;
+      joins += sc.prob.join_own_net;
+      entries += sc.prob.target && sc.prob.target->facing;
+      EXPECT_EQ(used, open_bound->expansions) << what;
+      const std::uint64_t exact = detail::pack_cost(want->cost, mode);
+      EXPECT_EQ(exact, pack(want->cost, mode)) << what;
+
+      // A windowed pre-search around the first start, sometimes cutting
+      // off the optimum, gives a bound no smaller than the optimum.
+      SearchProblem pre = sc.prob;
+      const geom::Point s0 = pre.starts[0].p;
+      geom::Rect win = geom::Rect{s0, s0}
+                           .hull(pre.target ? pre.target->p : s0)
+                           .expanded(uni(0, 4));
+      if (pre.window) win = win.intersect(*pre.window);
+      pre.window = win;
+      std::vector<std::uint64_t> bounds = {detail::kNoBound, exact, exact + uni(1, 3),
+                                           exact + (std::uint64_t{1} << 40)};
+      if (const auto r = detail::grid_search(sc.grid, pre, mode, &ws, nullptr, &base)) {
+        const std::uint64_t key = detail::pack_cost(r->cost, mode);
+        EXPECT_GE(key, exact) << what;
+        cut_off += key > exact;
+        bounds.push_back(key);
+      }
+      for (const std::uint64_t b : bounds) {
+        detail::SearchBound bound = base;
+        bound.key = b;
+        const std::string with =
+            what + " bound " + (b == detail::kNoBound ? "none" : std::to_string(b - exact));
+        const auto got = detail::grid_search(sc.grid, sc.prob, mode, &ws, nullptr, &bound);
+        ASSERT_TRUE(got.has_value()) << with;
+        EXPECT_EQ(got->path, want->path) << with;
+        EXPECT_EQ(got->cost.bends, want->cost.bends) << with;
+        EXPECT_EQ(got->cost.crossings, want->cost.crossings) << with;
+        EXPECT_EQ(got->cost.length, want->cost.length) << with;
+        EXPECT_LE(got->expansions, want->expansions) << with;
+        pruned += got->expansions < want->expansions;
+        // The unbounded search's budget always suffices.
+        SearchProblem tight = sc.prob;
+        tight.max_expansions = want->expansions;
+        const auto capped = detail::grid_search(sc.grid, tight, mode, &ws, nullptr, &bound);
+        ASSERT_TRUE(capped.has_value()) << with;
+        EXPECT_EQ(capped->path, want->path) << with;
+      }
+    }
+  }
+  // The seed covers every kind of problem, and the bounds do prune.
+  EXPECT_GT(found, 300);
+  EXPECT_GT(joins, 50);
+  EXPECT_GT(entries, 100);
+  EXPECT_GT(cut_off, 30);
+  EXPECT_GT(pruned, 500);
+}
+
+TEST(SearchCore, BendLowerBoundIsAdmissible) {
+  // Brute force on an empty 13x13 plane: the fewest bends from every state
+  // to a target in its middle, entering with each heading or any, found by
+  // a 0-1 breadth-first search backwards from the arrival states.
+  constexpr int kSize = 13;
+  auto inside = [](geom::Point p) { return p.x >= 0 && p.y >= 0 && p.x < kSize && p.y < kSize; };
+  auto index = [](geom::Point p, geom::Dir d) {
+    return (p.y * kSize + p.x) * 4 + static_cast<int>(d);
+  };
+  auto sign = [](int v) { return (v > 0) - (v < 0); };
+  const std::optional<geom::Dir> entries[] = {std::nullopt, geom::Dir::Left, geom::Dir::Right,
+                                              geom::Dir::Up, geom::Dir::Down};
+  int checked = 0;
+  for (int ty = 4; ty <= 8; ++ty) {
+    for (int tx = 4; tx <= 8; ++tx) {
+      const geom::Point t{tx, ty};
+      for (const std::optional<geom::Dir> entry : entries) {
+        std::vector<int> bends(kSize * kSize * 4, std::numeric_limits<int>::max());
+        std::deque<std::pair<geom::Point, geom::Dir>> queue;
+        for (geom::Dir d : geom::kAllDirs) {
+          const geom::Point p = t - geom::delta(d);
+          if ((!entry || *entry == d) && inside(p)) {
+            bends[index(p, d)] = 0;
+            queue.emplace_back(p, d);
+          }
+        }
+        while (!queue.empty()) {
+          const auto [q, d] = queue.front();
+          queue.pop_front();
+          const int b = bends[index(q, d)];
+          // Predecessors: the straight step into q, free; a turn at q, one bend.
+          const geom::Point p = q - geom::delta(d);
+          if (inside(p) && b < bends[index(p, d)]) {
+            bends[index(p, d)] = b;
+            queue.emplace_front(p, d);
+          }
+          for (geom::Dir od : geom::kAllDirs) {
+            if (geom::is_horizontal(od) == geom::is_horizontal(d)) continue;
+            if (b + 1 < bends[index(q, od)]) {
+              bends[index(q, od)] = b + 1;
+              queue.emplace_back(q, od);
+            }
+          }
+        }
+        const detail::BendTable table = detail::bend_lower_bounds(entry);
+        auto bound = [&](geom::Point p, geom::Dir d) {
+          return static_cast<int>(table[detail::bend_index(d, sign(t.x - p.x), sign(t.y - p.y))]);
+        };
+        for (int y = 0; y < kSize; ++y) {
+          for (int x = 0; x < kSize; ++x) {
+            const geom::Point p{x, y};
+            for (geom::Dir d : geom::kAllDirs) {
+              const int truth = bends[index(p, d)];
+              ASSERT_LE(bound(p, d), truth) << p << " heading " << d << " target " << t;
+              ++checked;
+              // With any entry allowed the table is exact off the target.
+              if (!entry && p != t) {
+                EXPECT_EQ(bound(p, d), truth) << p << " heading " << d << " target " << t;
+              }
+              // Never lower after a straight step.
+              const geom::Point q = p + geom::delta(d);
+              if (inside(q)) {
+                EXPECT_GE(bound(q, d), bound(p, d)) << p << " heading " << d;
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(checked, 25 * 5 * kSize * kSize * 4);
 }
 
 TEST(SearchCore, LeeCostCountsCrossingsItDoesNotOrderBy) {
