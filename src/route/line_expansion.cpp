@@ -40,10 +40,12 @@ namespace {
 /// Open-set lanes, one per edge kind.
 enum Lane : int { kStraight = 0, kCrossing = 1, kBend = 2 };
 
-/// Key increments per lane.  Keys pack three 20-bit cost fields (grids
-/// here are far smaller than 2^20 tracks), most significant first; Lee
-/// orders by length alone, so its crossing step costs a plain step and its
-/// bend costs nothing.
+/// Key increments per lane.  Keys are 56 bits (StateTable keeps a stamp in
+/// the top 8): bends in bits 40-55, then two 20-bit fields (grids here are
+/// far smaller than 2^20 tracks), most significant first.  A key that would
+/// reach bit 56 (65536 bends) throws when recorded.  Lee orders by length
+/// alone, so its crossing step costs a plain step and its bend costs
+/// nothing.
 std::array<std::uint64_t, OpenSet::kLanes> lane_deltas(CostMode mode) {
   constexpr std::uint64_t kLow = 1;
   constexpr std::uint64_t kMid = std::uint64_t{1} << 20;

@@ -382,7 +382,8 @@ void retry_pass(Diagram& dia, const RouterOptions& opt, DriverSetup& setup,
                 const std::vector<NetId>& order, RouteReport& report,
                 SearchWorkspace& ws) {
   if (!opt.retry_failed) return;
-  NA_TRACE_SCOPE("route.retry");
+  NA_TRACE_SPAN(span, "route.retry");
+  const std::uint64_t scrubbed = ws.scrubbed_slots();
   for (auto& [cell, owner] : setup.claims) {
     if (owner != kNone) setup.grid.clear_claim(cell);
   }
@@ -398,6 +399,7 @@ void retry_pass(Diagram& dia, const RouterOptions& opt, DriverSetup& setup,
     report.retried_connections +=
         before - static_cast<int>(setup.pending[n].size());
   }
+  span.arg("scrubbed_slots", static_cast<long long>(ws.scrubbed_slots() - scrubbed));
 }
 
 void finish_report(Diagram& dia, DriverSetup& setup, RouteReport& report) {

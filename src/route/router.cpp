@@ -62,6 +62,7 @@ RouteReport route_all(Diagram& dia, const RouterOptions& opt,
       setup.pending[n] = std::move(res.failed);
       for (TermId t : setup.pending[n]) setup.restore_claim(dia, opt, t, n);
     }
+    span.arg("scrubbed_slots", static_cast<long long>(ws.scrubbed_slots()));
   }
 
   // ----- pass 2: retry after every claim is gone (section 5.7) ---------------

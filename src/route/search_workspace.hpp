@@ -22,6 +22,7 @@
 #include <array>
 #include <cstdint>
 #include <limits>
+#include <stdexcept>
 #include <vector>
 
 #include "geom/rect.hpp"
@@ -115,16 +116,18 @@ class StateTable {
   static constexpr std::uint64_t kUnvisited =
       std::numeric_limits<std::uint64_t>::max();
 
-  /// Search keys pack three 20-bit cost fields, so the top 4 bits of each
-  /// slot are free to hold a generation stamp.  A slot is valid only when
-  /// its stamp matches the current one; stamps cycle 1..15 (0 means
-  /// scrubbed), and every 15th begin() re-scrubs the slots written since
+  /// Search keys are 56 bits: a 16-bit bends field (bits 40-55) over two
+  /// 20-bit fields (crossings and length, in the mode's order).  The top 8
+  /// bits of each slot hold a generation stamp.  A slot is valid only when
+  /// its stamp matches the current one; stamps cycle 1..255 (0 means
+  /// scrubbed), and every 255th begin() re-scrubs the slots written since
   /// the last scrub so a stale slot can never alias a live stamp.  The
   /// array stays 8 bytes per state — the same cache footprint as a plain
-  /// `best` vector — while "clearing" costs 1/15th of a fill on average
+  /// `best` vector — while "clearing" costs 1/255th of a fill on average
   /// instead of a full allocate-and-fill per search.
-  static constexpr int kKeyBits = 60;
+  static constexpr int kKeyBits = 56;
   static constexpr std::uint64_t kKeyMask = (std::uint64_t{1} << kKeyBits) - 1;
+  static constexpr std::uint32_t kStamps = (1u << (64 - kKeyBits)) - 1;
 
   /// Prepares the table for a search over `nstates` states: grows the
   /// arrays if needed and invalidates previous contents (amortized O(1)).
@@ -134,13 +137,15 @@ class StateTable {
       slots_.resize(need);
       parent_.resize(need);
     }
-    stamp_ = stamp_ % 15 + 1;
-    // Only slots below the largest search since the last scrub were written.
-    used_ = std::max(used_, need);
+    stamp_ = stamp_ % kStamps + 1;
     if (stamp_ == 1) {
+      // Only slots below the largest search since the last scrub were
+      // written; slots above it are still zero.
       std::fill(slots_.begin(), slots_.begin() + static_cast<std::ptrdiff_t>(used_), 0);
-      used_ = need;
+      scrubbed_ += used_;
+      used_ = 0;
     }
+    used_ = std::max(used_, need);
   }
 
   /// Raw pointers into the (already sized) arrays for the search hot loop.
@@ -157,7 +162,10 @@ class StateTable {
       const std::uint64_t v = slots[s];
       return (v & ~kKeyMask) == tag ? (v & kKeyMask) : kUnvisited;
     }
+    /// Throws std::length_error for a key that would reach the stamp bits
+    /// (a path of 65536 or more bends).
     void record(int s, std::uint64_t key, int from) const {
+      if (key > kKeyMask) [[unlikely]] key_overflow();
       slots[s] = key | tag;
       parent[s] = from;
     }
@@ -175,11 +183,19 @@ class StateTable {
   /// Only meaningful for states recorded in the current generation.
   int parent(int s) const { return parent_[s]; }
 
+  /// Slots zeroed by scrubs so far (a work counter).
+  std::uint64_t scrubbed_slots() const { return scrubbed_; }
+
  private:
+  [[noreturn, gnu::cold, gnu::noinline]] static void key_overflow() {
+    throw std::length_error("search key overflows its 56 bits");
+  }
+
   std::vector<std::uint64_t> slots_;
   std::vector<std::int32_t> parent_;
   std::uint32_t stamp_ = 0;
   size_t used_ = 0;  ///< slots possibly written since the last scrub
+  std::uint64_t scrubbed_ = 0;
 };
 
 class SearchWorkspace {
@@ -197,6 +213,11 @@ class SearchWorkspace {
 
   /// The open set (cleared by begin(), driven by the search loop).
   OpenSet& open() { return open_; }
+
+  /// Slots both tables have scrubbed so far (a work counter).
+  std::uint64_t scrubbed_slots() const {
+    return plane_.scrubbed_slots() + window_.scrubbed_slots();
+  }
 
  private:
   StateTable plane_;

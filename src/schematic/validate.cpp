@@ -2,37 +2,138 @@
 
 #include "obs/trace.hpp"
 
+#include <algorithm>
 #include <cstdint>
-#include <optional>
-#include <queue>
-#include <unordered_map>
-#include <unordered_set>
+#include <utility>
 
 namespace na {
 namespace {
 
+/// What the checker knows about one grid point of its scope.
+struct Site {
+  ModuleId module = kNone;  ///< module whose symbol covers the point (lowest id)
+  /// Terminal cell: the owning net (>= 0, last writer wins), or an
+  /// unconnected system terminal encoded by bare_term(), or kNone.
+  int term = kNone;
+  NetId h = kNone;     ///< net running horizontally through (first writer)
+  NetId v = kNone;     ///< net running vertically through (first writer)
+  NetId node = kNone;  ///< net with a corner, branch or endpoint here (last writer)
+};
+
+/// An unconnected system terminal blocks every net; its Site::term holds
+/// the terminal, below kNone so it never reads as a net.
+constexpr int bare_term(TermId t) { return -2 - t; }
+constexpr TermId bare_term_id(int code) { return -2 - code; }
+
+/// Dense per-point arrays over the validation scope: the hull of the
+/// placement and of every drawn point (the plane build_grid covers, without
+/// its margin), clipped to the region in region mode.  Geometry is
+/// rasterized into it once; every point check is then an array read.
+class Raster {
+ public:
+  explicit Raster(geom::Rect extent) : extent_(extent) {
+    if (extent.empty()) return;
+    width_ = static_cast<size_t>(extent.width()) + 1;
+    sites_.resize(width_ * (static_cast<size_t>(extent.height()) + 1));
+  }
+
+  size_t cells() const { return sites_.size(); }
+  bool contains(geom::Point p) const { return extent_.contains(p); }
+  Site& at(geom::Point p) {
+    return sites_[static_cast<size_t>(p.y - extent_.lo.y) * width_ +
+                  static_cast<size_t>(p.x - extent_.lo.x)];
+  }
+
+ private:
+  geom::Rect extent_;
+  size_t width_ = 0;
+  std::vector<Site> sites_;
+};
+
+/// Sort key of a point, ordered by (y, x).
 std::uint64_t key_of(geom::Point p) {
-  return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(p.x)) << 32) |
-         static_cast<std::uint32_t>(p.y);
+  const auto biased = [](int v) { return static_cast<std::uint32_t>(v) ^ 0x80000000u; };
+  return static_cast<std::uint64_t>(biased(p.y)) << 32 | biased(p.x);
 }
 
-geom::Point point_of(std::uint64_t k) {
-  return {static_cast<std::int32_t>(k >> 32),
-          static_cast<std::int32_t>(k & 0xffffffffu)};
+/// Every point of `r`'s orthogonal segments plus each polyline's first
+/// point, sorted by key_of and deduplicated.
+void net_points(const NetRoute& r, std::vector<std::uint64_t>& out) {
+  out.clear();
+  for (const auto& pl : r.polylines) {
+    for (size_t i = 1; i < pl.size(); ++i) {
+      const geom::Point a = pl[i - 1];
+      const geom::Point b = pl[i];
+      if (a.x != b.x && a.y != b.y) continue;
+      const geom::Point step = {(b.x > a.x) - (b.x < a.x), (b.y > a.y) - (b.y < a.y)};
+      for (geom::Point p = a;; p += step) {
+        out.push_back(key_of(p));
+        if (p == b) break;
+      }
+    }
+    if (!pl.empty()) out.push_back(key_of(pl.front()));
+  }
+  std::sort(out.begin(), out.end());
+  out.erase(std::unique(out.begin(), out.end()), out.end());
 }
+
+/// Is the sorted point set `pts` one figure under unit adjacency?
+bool connected(const std::vector<std::uint64_t>& pts) {
+  constexpr std::uint64_t kRow = std::uint64_t{1} << 32;
+  auto find = [&](std::uint64_t k) -> size_t {
+    const auto it = std::lower_bound(pts.begin(), pts.end(), k);
+    if (it == pts.end() || *it != k) return pts.size();
+    return static_cast<size_t>(it - pts.begin());
+  };
+  std::vector<char> seen(pts.size(), 0);
+  std::vector<size_t> stack = {0};
+  seen[0] = 1;
+  size_t reached = 1;
+  while (!stack.empty()) {
+    const size_t i = stack.back();
+    stack.pop_back();
+    const std::uint64_t k = pts[i];
+    // Row neighbours sit next to each other in (y, x) order.
+    const size_t near[] = {i > 0 && pts[i - 1] == k - 1 ? i - 1 : pts.size(),
+                           i + 1 < pts.size() && pts[i + 1] == k + 1 ? i + 1 : pts.size(),
+                           find(k - kRow), find(k + kRow)};
+    for (const size_t j : near) {
+      if (j == pts.size() || seen[j]) continue;
+      seen[j] = 1;
+      ++reached;
+      stack.push_back(j);
+    }
+  }
+  return reached == pts.size();
+}
+
+struct ScopeStats {
+  size_t points = 0;  ///< distinct in-scope points occupied by nets
+  size_t cells = 0;   ///< raster size
+};
 
 /// Shared checker body.  `region == nullptr` validates the whole diagram;
 /// otherwise only geometry intersecting `*region` is examined (see the
 /// scope rules on validate_region in the header).  The per-point work is
 /// identical in both modes, so an in-region violation produces the same
 /// message either way.
-std::vector<std::string> validate_impl(const Diagram& dia,
-                                       bool require_all_routed,
-                                       const geom::Rect* region) {
+std::vector<std::string> validate_impl(const Diagram& dia, bool require_all_routed,
+                                       const geom::Rect* region, ScopeStats& stats) {
   const Network& net = dia.network();
   std::vector<std::string> problems;
   auto report = [&](std::string msg) { problems.push_back(std::move(msg)); };
-  auto in_scope = [&](geom::Point p) { return !region || region->contains(p); };
+  // A net with fewer than two terminals is not routable (the router's rule).
+  auto routable = [&](NetId n) { return net.net(n).terms.size() >= 2; };
+
+  geom::Rect extent = dia.placement_bounds();
+  for (const NetRoute& r : dia.routes()) {
+    for (const auto& pl : r.polylines) {
+      for (const geom::Point p : pl) extent = extent.hull(p);
+    }
+  }
+  if (region) extent = extent.intersect(*region);
+  Raster raster(extent);
+  stats.cells = raster.cells();
 
   // --- placement: everything placed, no symbol overlap ----------------------
   // Completeness is global (a property of the diagram, no geometry to
@@ -50,71 +151,91 @@ std::vector<std::string> validate_impl(const Diagram& dia,
     if (!dia.module_placed(m)) continue;
     if (region && !region->overlaps(dia.module_rect(m))) continue;
     scoped_mods.push_back(m);
+    // Rasterize in id order, first writer kept: the lowest module wins.
+    const geom::Rect in = dia.module_rect(m).intersect(extent);
+    for (int y = in.lo.y; y <= in.hi.y; ++y) {
+      for (int x = in.lo.x; x <= in.hi.x; ++x) {
+        Site& s = raster.at({x, y});
+        if (s.module == kNone) s.module = m;
+      }
+    }
   }
-  std::vector<TermId> scoped_terms;  // placed system terminals in scope
+  std::vector<std::pair<geom::Point, TermId>> scoped_terms;  // placed, in scope
   for (TermId t : net.system_terms()) {
     if (!dia.system_term_placed(t)) continue;
-    if (!in_scope(dia.term_pos(t))) continue;
-    scoped_terms.push_back(t);
+    if (region && !region->contains(dia.term_pos(t))) continue;
+    scoped_terms.emplace_back(dia.term_pos(t), t);
   }
-  for (size_t i = 0; i < scoped_mods.size(); ++i) {
-    const int a = scoped_mods[i];
-    for (size_t j = i + 1; j < scoped_mods.size(); ++j) {
-      const int b = scoped_mods[j];
-      if (dia.module_rect(a).overlaps(dia.module_rect(b))) {
+  // Overlapping symbols: a sweep over rectangles sorted by left edge.
+  std::vector<int> by_x = scoped_mods;
+  std::sort(by_x.begin(), by_x.end(), [&](int a, int b) {
+    return dia.module_rect(a).lo.x < dia.module_rect(b).lo.x;
+  });
+  for (size_t i = 0; i < by_x.size(); ++i) {
+    const geom::Rect ra = dia.module_rect(by_x[i]);
+    for (size_t j = i + 1;
+         j < by_x.size() && dia.module_rect(by_x[j]).lo.x <= ra.hi.x; ++j) {
+      if (ra.overlaps(dia.module_rect(by_x[j]))) {
+        const auto [a, b] = std::minmax(by_x[i], by_x[j]);
         report("modules '" + net.module(a).name + "' and '" + net.module(b).name +
                "' overlap");
       }
     }
   }
-  for (size_t i = 0; i < scoped_terms.size(); ++i) {
-    const TermId ti = scoped_terms[i];
-    const geom::Point pi = dia.term_pos(ti);
-    for (const int m : scoped_mods) {
-      if (dia.module_rect(m).contains(pi)) {
-        report("system terminal '" + net.term(ti).name + "' overlaps module '" +
+  for (const auto& [p, t] : scoped_terms) {
+    if (raster.at(p).module == kNone) continue;
+    for (const int m : scoped_mods) {  // every module holding it, not just the first
+      if (dia.module_rect(m).contains(p)) {
+        report("system terminal '" + net.term(t).name + "' overlaps module '" +
                net.module(m).name + "'");
       }
     }
-    for (size_t j = i + 1; j < scoped_terms.size(); ++j) {
-      const TermId tj = scoped_terms[j];
-      if (dia.term_pos(tj) == pi) {
-        report("system terminals '" + net.term(ti).name + "' and '" +
-               net.term(tj).name + "' coincide");
-      }
+  }
+  // Coinciding terminals: equal points are adjacent once sorted, and each
+  // run reports its pairs in system-terminal order.
+  std::sort(scoped_terms.begin(), scoped_terms.end());
+  for (size_t i = 0; i < scoped_terms.size(); ++i) {
+    const auto& [pi, ti] = scoped_terms[i];
+    for (size_t j = i + 1; j < scoped_terms.size() && scoped_terms[j].first == pi; ++j) {
+      report("system terminals '" + net.term(ti).name + "' and '" +
+             net.term(scoped_terms[j].second).name + "' coincide");
     }
   }
   if (!problems.empty()) return problems;  // routing checks need full placement
 
   // --- per-net terminal cells ------------------------------------------------
-  std::unordered_map<std::uint64_t, NetId> term_cell;  // point -> owning net
+  for (const auto& [p, t] : scoped_terms) {
+    if (net.term(t).net == kNone) raster.at(p).term = bare_term(t);
+  }
   for (int t = 0; t < net.term_count(); ++t) {
     const Terminal& term = net.term(t);
     if (term.net == kNone) continue;
-    if (!in_scope(dia.term_pos(t))) continue;
-    term_cell[key_of(dia.term_pos(t))] = term.net;
+    const geom::Point p = dia.term_pos(t);
+    if (raster.contains(p)) raster.at(p).term = term.net;
   }
 
   // --- routing geometry -------------------------------------------------------
-  std::unordered_map<std::uint64_t, NetId> h_occ;
-  std::unordered_map<std::uint64_t, NetId> v_occ;
-  // Points where a net has a corner, branch, or endpoint ("nodes"): no other
-  // net may touch these at all.
-  std::unordered_map<std::uint64_t, NetId> node_of;
+  std::vector<geom::Point> occupied;  // points with an h or v net, once each
+  std::vector<geom::Point> nodes;     // points with a node net, once each
+  auto set_node = [&](geom::Point p, NetId n) {
+    if (!raster.contains(p)) return;
+    Site& s = raster.at(p);
+    if (s.node == kNone) nodes.push_back(p);
+    s.node = n;
+  };
   std::vector<bool> touches(net.net_count(), region == nullptr);
 
   for (NetId n = 0; n < net.net_count(); ++n) {
     const NetRoute& r = dia.route(n);
-    if (require_all_routed && region == nullptr && !r.routed &&
-        !net.net(n).terms.empty()) {
+    if (require_all_routed && region == nullptr && !r.routed && routable(n)) {
       report("net '" + net.net(n).name + "' unrouted");
     }
     for (const auto& pl : r.polylines) {
       if (pl.size() < 2) {
         // A single point is only meaningful when joining at a terminal that
         // already lies on the net; treat as node.
-        if (!pl.empty() && in_scope(pl[0])) {
-          node_of[key_of(pl[0])] = n;
+        if (!pl.empty() && raster.contains(pl[0])) {
+          set_node(pl[0], n);
           touches[n] = true;
         }
         continue;
@@ -130,92 +251,70 @@ std::vector<std::string> validate_impl(const Diagram& dia,
           continue;
         }
         if (a == b) continue;
-        // Clip the segment to the scope, preserving its walk direction so
-        // overlap reports come out in the same order as a full validation.
-        geom::Point from = a;
-        geom::Point to = b;
-        if (region) {
-          const geom::Rect clipped = [&] {
-            const geom::Rect sb = geom::Segment{a, b}.bounds();
-            return geom::Rect{{std::max(sb.lo.x, region->lo.x),
-                               std::max(sb.lo.y, region->lo.y)},
-                              {std::min(sb.hi.x, region->hi.x),
-                               std::min(sb.hi.y, region->hi.y)}};
-          }();
-          if (clipped.empty()) continue;
-          if (b.x >= a.x && b.y >= a.y) {
-            from = clipped.lo;
-            to = clipped.hi;
-          } else {
-            from = clipped.hi;
-            to = clipped.lo;
-          }
-        }
+        // Only the scope's part of the segment is examined; the first net
+        // to claim a point's orientation owns it, whatever the walk order.
+        const geom::Rect in = geom::Segment{a, b}.bounds().intersect(extent);
+        if (in.empty()) continue;
         touches[n] = true;
         const bool horizontal = a.y == b.y;
-        const geom::Point step = {(to.x > from.x) - (to.x < from.x),
-                                  (to.y > from.y) - (to.y < from.y)};
-        for (geom::Point p = from;; p += step) {
-          auto& occ = horizontal ? h_occ : v_occ;
-          auto [it, inserted] = occ.emplace(key_of(p), n);
-          if (!inserted && it->second != n) {
-            report("nets '" + net.net(n).name + "' and '" + net.net(it->second).name +
+        const geom::Point step = horizontal ? geom::Point{1, 0} : geom::Point{0, 1};
+        for (geom::Point p = in.lo;; p += step) {
+          Site& s = raster.at(p);
+          if (s.h == kNone && s.v == kNone) occupied.push_back(p);
+          NetId& owner = horizontal ? s.h : s.v;
+          if (owner == kNone) {
+            owner = n;
+          } else if (owner != n) {
+            report("nets '" + net.net(n).name + "' and '" + net.net(owner).name +
                    "' overlap at " + geom::to_string(p));
           }
-          if (p == to) break;
+          if (p == in.hi) break;
         }
       }
-      if (in_scope(pl.front())) node_of[key_of(pl.front())] = n;
-      if (in_scope(pl.back())) node_of[key_of(pl.back())] = n;
-      for (size_t i = 1; i + 1 < pl.size(); ++i) {
-        if (in_scope(pl[i])) node_of[key_of(pl[i])] = n;  // corner
-      }
+      set_node(pl.front(), n);
+      set_node(pl.back(), n);
+      for (size_t i = 1; i + 1 < pl.size(); ++i) set_node(pl[i], n);  // corner
     }
     if (require_all_routed && region != nullptr && !r.routed && touches[n] &&
-        !net.net(n).terms.empty()) {
+        routable(n)) {
       report("net '" + net.net(n).name + "' unrouted");
     }
   }
+  stats.points = occupied.size();
 
   // --- nets vs module symbols and foreign terminals ---------------------------
-  auto check_point = [&](geom::Point p, NetId n) {
-    const auto tc = term_cell.find(key_of(p));
-    const bool own_terminal = tc != term_cell.end() && tc->second == n;
-    if (tc != term_cell.end() && tc->second != n) {
-      report("net '" + net.net(n).name + "' touches a foreign terminal at " +
-             geom::to_string(p));
+  auto check_point = [&](geom::Point p, const Site& s, NetId n) {
+    if (s.term >= 0) {
+      if (s.term != n) {
+        report("net '" + net.net(n).name + "' touches a foreign terminal at " +
+               geom::to_string(p));
+      }
+      return;  // a terminal cell, own or foreign
+    }
+    if (s.module != kNone) {
+      report("net '" + net.net(n).name + "' enters module '" + net.module(s.module).name +
+             "' at " + geom::to_string(p));
       return;
     }
-    if (own_terminal) return;
-    for (const int m : scoped_mods) {
-      if (dia.module_rect(m).contains(p)) {
-        report("net '" + net.net(n).name + "' enters module '" + net.module(m).name +
-               "' at " + geom::to_string(p));
-        return;
-      }
-    }
-    for (TermId t : scoped_terms) {
-      if (dia.term_pos(t) == p && net.term(t).net != n) {
-        report("net '" + net.net(n).name + "' covers system terminal '" +
-               net.term(t).name + "'");
-      }
+    if (s.term != kNone) {
+      report("net '" + net.net(n).name + "' covers system terminal '" +
+             net.term(bare_term_id(s.term)).name + "'");
     }
   };
-  for (const auto& [pt, n] : h_occ) check_point(point_of(pt), n);
-  for (const auto& [pt, n] : v_occ) {
-    if (auto it = h_occ.find(pt); it == h_occ.end() || it->second != n) {
-      check_point(point_of(pt), n);
-    }
+  for (const geom::Point p : occupied) {
+    const Site& s = raster.at(p);
+    if (s.h != kNone) check_point(p, s, s.h);
+    if (s.v != kNone && s.v != s.h) check_point(p, s, s.v);
   }
 
   // --- node contact rule: a corner/endpoint of net A may not be touched by
   // any other net (crossing requires both straight through).
-  for (const auto& [pt, n] : node_of) {
-    for (const auto* occ : {&h_occ, &v_occ}) {
-      auto it = occ->find(pt);
-      if (it != occ->end() && it->second != n) {
-        report("net '" + net.net(it->second).name + "' touches a node of net '" +
-               net.net(n).name + "' at " + geom::to_string(point_of(pt)));
+  for (const geom::Point p : nodes) {
+    const Site& s = raster.at(p);
+    for (const NetId other : {s.h, s.v}) {
+      if (other != kNone && other != s.node) {
+        report("net '" + net.net(other).name + "' touches a node of net '" +
+               net.net(s.node).name + "' at " + geom::to_string(p));
       }
     }
   }
@@ -224,45 +323,20 @@ std::vector<std::string> validate_impl(const Diagram& dia,
   // In region mode only the nets with in-scope geometry are re-checked, but
   // always over their *full* geometry: being one figure is not a local
   // property, and a patch can only disconnect a net at an edited point.
+  std::vector<std::uint64_t> points;
   for (NetId n = 0; n < net.net_count(); ++n) {
     const NetRoute& r = dia.route(n);
     if (!r.routed || !touches[n]) continue;
-    std::unordered_set<std::uint64_t> points;
-    for (const auto& pl : r.polylines) {
-      for (size_t i = 1; i < pl.size(); ++i) {
-        const geom::Point a = pl[i - 1];
-        const geom::Point b = pl[i];
-        if (a.x != b.x && a.y != b.y) continue;
-        const geom::Point step = {(b.x > a.x) - (b.x < a.x), (b.y > a.y) - (b.y < a.y)};
-        for (geom::Point p = a;; p += step) {
-          points.insert(key_of(p));
-          if (p == b) break;
-        }
-      }
-      if (!pl.empty()) points.insert(key_of(pl.front()));
-    }
+    net_points(r, points);
     if (points.empty()) {
       report("net '" + net.net(n).name + "' marked routed but has no geometry");
       continue;
     }
-    // BFS over unit adjacency within the point set.
-    std::unordered_set<std::uint64_t> seen;
-    std::queue<std::uint64_t> frontier;
-    frontier.push(*points.begin());
-    seen.insert(*points.begin());
-    while (!frontier.empty()) {
-      const geom::Point p = point_of(frontier.front());
-      frontier.pop();
-      for (geom::Dir d : geom::kAllDirs) {
-        const std::uint64_t q = key_of(p + geom::delta(d));
-        if (points.contains(q) && seen.insert(q).second) frontier.push(q);
-      }
-    }
-    if (seen.size() != points.size()) {
+    if (!connected(points)) {
       report("net '" + net.net(n).name + "' geometry is disconnected");
     }
     for (TermId t : net.net(n).terms) {
-      if (!points.contains(key_of(dia.term_pos(t)))) {
+      if (!std::binary_search(points.begin(), points.end(), key_of(dia.term_pos(t)))) {
         report("net '" + net.net(n).name + "' does not reach terminal '" +
                net.term(t).name + "'");
       }
@@ -276,8 +350,11 @@ std::vector<std::string> validate_impl(const Diagram& dia,
 
 std::vector<std::string> validate_diagram(const Diagram& dia, bool require_all_routed) {
   NA_TRACE_SPAN(span, "validate.full");
-  auto problems = validate_impl(dia, require_all_routed, nullptr);
+  ScopeStats stats;
+  auto problems = validate_impl(dia, require_all_routed, nullptr, stats);
   span.arg("issues", static_cast<long long>(problems.size()));
+  span.arg("points", stats.points);
+  span.arg("cells", stats.cells);
   return problems;
 }
 
@@ -285,8 +362,11 @@ std::vector<std::string> validate_region(const Diagram& dia, geom::Rect region,
                                          bool require_all_routed) {
   NA_TRACE_SPAN(span, "validate.region");
   if (region.empty()) return {};
-  auto problems = validate_impl(dia, require_all_routed, &region);
+  ScopeStats stats;
+  auto problems = validate_impl(dia, require_all_routed, &region, stats);
   span.arg("issues", static_cast<long long>(problems.size()));
+  span.arg("points", stats.points);
+  span.arg("cells", stats.cells);
   return problems;
 }
 

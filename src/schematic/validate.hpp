@@ -16,8 +16,11 @@
 //   * every routed net's polylines form one connected figure containing
 //     all of the net's terminal positions.
 //
-// The checker is implemented independently of RoutingGrid (hash maps over
-// drawn geometry) so it can serve as an oracle for the router.
+// The checker is implemented independently of RoutingGrid so it can serve
+// as an oracle for the router.  It rasterizes the scope (the hull of the
+// placement and the drawn geometry, clipped to the region) into dense
+// per-point arrays of its own, so its point checks cost time in proportion
+// to the drawn geometry; connectivity runs over each net's sorted points.
 #pragma once
 
 #include <string>
@@ -29,7 +32,8 @@ namespace na {
 
 /// Returns human-readable violations; empty means the diagram is valid.
 /// Unrouted nets are not an error here (they are reported by metrics);
-/// pass `require_all_routed` to make them one.
+/// pass `require_all_routed` to make them one.  A net with fewer than two
+/// terminals is not routable (the router's rule) and is never unrouted.
 std::vector<std::string> validate_diagram(const Diagram& dia,
                                           bool require_all_routed = false);
 

@@ -9,6 +9,7 @@
 #include <limits>
 #include <queue>
 #include <random>
+#include <stdexcept>
 
 #include "route/dijkstra.hpp"
 #include "route/router.hpp"
@@ -584,6 +585,12 @@ TEST(SearchCore, LaneOpenSetMatchesReferenceQueue) {
                                     detail::CostMode::LengthOnly};
   std::mt19937 rng(20261017);
   detail::SearchWorkspace ws;  // reused across searches, as the driver does
+  // Searches run on each of the reused workspace's two tables.
+  int plane_searches = 0, window_searches = 0;
+  auto reused = [&](const RoutingGrid& g, const SearchProblem& p, detail::CostMode mode) {
+    ++(p.window ? window_searches : plane_searches);
+    return detail::grid_search(g, p, mode, &ws);
+  };
   int found = 0, windowed = 0, joins = 0, exhausted = 0;
   for (int round = 0; round < 300; ++round) {
     Scenario sc = random_scenario(rng);
@@ -591,7 +598,10 @@ TEST(SearchCore, LaneOpenSetMatchesReferenceQueue) {
       const std::string what =
           "round " + std::to_string(round) + " mode " + std::to_string(static_cast<int>(mode));
       const auto want = reference_search(sc.grid, sc.prob, mode);
-      const auto got = detail::grid_search(sc.grid, sc.prob, mode, round % 2 ? &ws : nullptr);
+      // A fresh workspace and the long-reused one agree with the reference.
+      expect_same(detail::grid_search(sc.grid, sc.prob, mode), want, mode,
+                  what + " fresh");
+      const auto got = reused(sc.grid, sc.prob, mode);
       expect_same(got, want, mode, what);
       if (!got || !want) continue;
       ++found;
@@ -601,11 +611,11 @@ TEST(SearchCore, LaneOpenSetMatchesReferenceQueue) {
       // exhausts it in both searches.
       SearchProblem tight = sc.prob;
       tight.max_expansions = got->expansions;
-      expect_same(detail::grid_search(sc.grid, tight, mode, &ws),
-                  reference_search(sc.grid, tight, mode), mode, what + " tight");
+      expect_same(reused(sc.grid, tight, mode), reference_search(sc.grid, tight, mode),
+                  mode, what + " tight");
       if (got->expansions == 0) continue;
       tight.max_expansions = got->expansions - 1;
-      const auto cut = detail::grid_search(sc.grid, tight, mode, &ws);
+      const auto cut = reused(sc.grid, tight, mode);
       EXPECT_FALSE(cut.has_value()) << what;
       EXPECT_FALSE(reference_search(sc.grid, tight, mode).has_value()) << what;
       exhausted += !cut.has_value();
@@ -616,6 +626,44 @@ TEST(SearchCore, LaneOpenSetMatchesReferenceQueue) {
   EXPECT_GT(windowed, 50);
   EXPECT_GT(joins, 50);
   EXPECT_GT(exhausted, 200);
+  // Both tables wrapped their stamps at least twice, scrubbing each time.
+  constexpr int kWrap = detail::StateTable::kStamps;
+  EXPECT_GT(plane_searches, 2 * kWrap);
+  EXPECT_GT(window_searches, 2 * kWrap);
+  EXPECT_GT(ws.scrubbed_slots(), 0u);
+}
+
+TEST(SearchCore, StampWrapNeverShowsStaleSlots) {
+  detail::StateTable table;
+  constexpr int kStates = 8;
+  constexpr int kSearches = 600;  // wraps the 255 stamps twice
+  for (int search = 1; search <= kSearches; ++search) {
+    table.begin(kStates);
+    for (int s = 0; s < kStates; ++s) {
+      ASSERT_EQ(table.best(s), detail::StateTable::kUnvisited) << "search " << search;
+    }
+    table.view().record(search % kStates, static_cast<std::uint64_t>(search), -1);
+    EXPECT_EQ(table.best(search % kStates), static_cast<std::uint64_t>(search));
+  }
+  // Searches 256 and 511 scrub; the first needs none (fresh slots are 0).
+  EXPECT_EQ(table.scrubbed_slots(), 2u * kStates);
+}
+
+TEST(SearchCore, KeyGuardRejectsKeysReachingTheStamp) {
+  using detail::StateTable;
+  StateTable table;
+  table.begin(2);
+  const StateTable::View v = table.view();
+  v.record(0, StateTable::kKeyMask, -1);
+  EXPECT_EQ(table.best(0), StateTable::kKeyMask);
+  EXPECT_THROW(v.record(1, StateTable::kKeyMask + 1, 0), std::length_error);
+  EXPECT_EQ(table.best(1), StateTable::kUnvisited);
+  // The bends field holds 65535 bends over full lower fields; one more
+  // bend reaches the stamp.
+  constexpr int kField = (1 << 20) - 1;
+  const auto mode = detail::CostMode::BendsCrossingsLength;
+  EXPECT_EQ(detail::pack_cost({65535, kField, kField}, mode), StateTable::kKeyMask);
+  EXPECT_THROW(v.record(1, detail::pack_cost({65536, 0, 0}, mode), 0), std::length_error);
 }
 
 /// Hull of every cell the searching net 0 occupies: the join hull the

@@ -3,8 +3,9 @@
 // full validate_diagram reports — on clean patched diagrams (both empty),
 // on deliberately corrupted diagrams (both the same non-empty set), and
 // across the incremental engine's edit-scenario corpus where the region is
-// the patch router's dirty hull.  Issue lists are compared sorted: the
-// checker walks hash maps, so report order is not part of the contract.
+// the patch router's dirty hull.  Issue lists are compared sorted: report
+// order is not part of the contract (validate_oracle_test pins the issue
+// sets against the former hash-map checker).
 #include <gtest/gtest.h>
 
 #include <algorithm>
