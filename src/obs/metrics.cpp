@@ -1,6 +1,7 @@
 #include "obs/metrics.hpp"
 
 #include <algorithm>
+#include <cstdio>
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <sys/resource.h>
@@ -343,6 +344,21 @@ std::string MetricsTable::to_text() const {
 }
 
 long long peak_rss_bytes() {
+#if defined(__linux__)
+  // VmHWM is the high-water mark of this process's own address space.
+  // getrusage()'s ru_maxrss also keeps that of the process which exec'd
+  // this one (a larger parent reports its peak here), so it is only the
+  // fallback.
+  if (std::FILE* f = std::fopen("/proc/self/status", "r")) {
+    char line[256];
+    long long kb = -1;
+    while (std::fgets(line, sizeof line, f) != nullptr) {
+      if (std::sscanf(line, "VmHWM: %lld kB", &kb) == 1) break;
+    }
+    std::fclose(f);
+    if (kb > 0) return kb * 1024;
+  }
+#endif
 #if defined(__unix__) || defined(__APPLE__)
   struct rusage ru {};
   if (getrusage(RUSAGE_SELF, &ru) != 0) return 0;

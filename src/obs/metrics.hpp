@@ -163,7 +163,10 @@ class MetricsTable {
 };
 
 /// Peak resident set size of this process in bytes; 0 when the platform
-/// doesn't expose it.  The scale benches report it next to modules/sec.
+/// doesn't expose it.  On Linux it is /proc/self/status VmHWM, which,
+/// unlike getrusage()'s ru_maxrss (the fallback), leaves out the peak of
+/// the process that exec'd this one.  The scale benches report it next to
+/// modules/sec.
 long long peak_rss_bytes();
 
 }  // namespace na::obs

@@ -40,12 +40,12 @@ namespace {
 /// Open-set lanes, one per edge kind.
 enum Lane : int { kStraight = 0, kCrossing = 1, kBend = 2 };
 
-/// Key increments per lane.  Keys are 56 bits (StateTable keeps a stamp in
-/// the top 8): bends in bits 40-55, then two 20-bit fields (grids here are
-/// far smaller than 2^20 tracks), most significant first.  A key that would
-/// reach bit 56 (65536 bends) throws when recorded.  Lee orders by length
-/// alone, so its crossing step costs a plain step and its bend costs
-/// nothing.
+/// Key increments per lane.  Keys are 54 bits (StateTable keeps a move
+/// and a stamp above them): bends in bits 40-53, then two 20-bit fields
+/// (grids here are far smaller than 2^20 tracks), most significant first.
+/// A key that would reach bit 54 (16384 bends) throws when recorded.  Lee
+/// orders by length alone, so its crossing step costs a plain step and its
+/// bend costs nothing.
 std::array<std::uint64_t, OpenSet::kLanes> lane_deltas(CostMode mode) {
   constexpr std::uint64_t kLow = 1;
   constexpr std::uint64_t kMid = std::uint64_t{1} << 20;
@@ -86,6 +86,28 @@ class LowerBound {
   std::array<std::uint64_t, std::tuple_size_v<BendTable>> bend_cost_{};
   std::uint64_t step_;
 };
+
+static_assert(
+    [] {
+      for (geom::Dir d : geom::kAllDirs) {
+        for (int flip : {2, 3}) {
+          const auto q = static_cast<geom::Dir>(static_cast<int>(d) ^ flip);
+          if (geom::is_horizontal(q) == geom::is_horizontal(d)) return false;
+        }
+      }
+      return true;
+    }(),
+    "the perpendiculars of heading d are d ^ 2 and d ^ 3");
+
+/// The move that turns heading `from` into the perpendicular `to` at one
+/// point (see Move: the perpendiculars of `to` are `to ^ 2` and `to ^ 3`),
+/// and back: the heading a turn move into `to` came from.
+Move turn_from(geom::Dir from, geom::Dir to) {
+  return static_cast<Move>((static_cast<int>(from) ^ static_cast<int>(to)) - 1);
+}
+geom::Dir turn_origin(geom::Dir to, Move turn) {
+  return static_cast<geom::Dir>(static_cast<int>(to) ^ (static_cast<int>(turn) + 1));
+}
 
 }  // namespace
 
@@ -151,7 +173,11 @@ std::optional<SearchResult> grid_search(const RoutingGrid& grid,
   const int h = reach.height() + 1;
   const int ncells = w * h;
   const int nstates = ncells * 4;
-  const int goal_state = nstates;  // virtual goal
+  // The virtual goal lives outside the table: its key, and the state the
+  // final step leaves from.
+  const int goal_state = nstates;
+  std::uint64_t goal_key = StateTable::kUnvisited;
+  int goal_parent = -1;
   // Keys pop in non-decreasing order and a relax must lower a state's key,
   // so each state is pushed at most once as a start and expanded at most
   // once, pushing at most three entries: at most 16 pushes per cell, which
@@ -169,7 +195,7 @@ std::optional<SearchResult> grid_search(const RoutingGrid& grid,
   };
   auto dir_of = [&](int state) { return static_cast<geom::Dir>(state % 4); };
 
-  StateTable& table = ws->begin(nstates + 1, windowed);
+  StateTable& table = ws->begin(nstates, windowed);
   const StateTable::View visited = table.view();
   OpenSet& open = ws->open();
   const std::array<std::uint64_t, OpenSet::kLanes> delta = lane_deltas(mode);
@@ -200,11 +226,11 @@ std::optional<SearchResult> grid_search(const RoutingGrid& grid,
   // Forced inline: with the bound test GCC otherwise outlines the relax,
   // and every push then reloads the search state through the closure
   // (about a third slower per expansion, even with pruning off).
-  auto relax = [&](int lane, geom::Point q, geom::Dir d, int from, std::uint64_t key)
+  auto relax = [&](int lane, geom::Point q, geom::Dir d, Move move, std::uint64_t key)
                    __attribute__((always_inline)) {
     const int state = state_of(q, d);
     if (key < visited.best(state) && (upper == kNoBound || key + lower(q, d) <= upper)) {
-      visited.record(state, key, from);
+      visited.record(state, key, move);
       open.push(lane, key, state);
     }
   };
@@ -215,15 +241,18 @@ std::optional<SearchResult> grid_search(const RoutingGrid& grid,
     // The start point becomes a node of this net as well.
     if (!grid.in_bounds(s.p) || !grid.node_free(s.p, prob.net)) continue;
     for (geom::Dir d : geom::kAllDirs) {
-      if (!s.dir || *s.dir == d) relax(kStraight, s.p, d, -1, 0);
+      if (!s.dir || *s.dir == d) relax(kStraight, s.p, d, Move::Start, 0);
     }
   }
 
   long expansions = 0;
   OpenEntry e;
   while (open.pop(e)) {
+    if (e.state == goal_state) {
+      if (e.key == goal_key) break;
+      continue;  // stale
+    }
     if (e.key != visited.best(e.state)) continue;  // stale
-    if (e.state == goal_state) break;
     const geom::Point p = point_of(e.state);
     const geom::Dir d = dir_of(e.state);
     // Pushed before the bound dropped below it.
@@ -251,14 +280,15 @@ std::optional<SearchResult> grid_search(const RoutingGrid& grid,
       const bool is_join = prob.join_own_net && arrivable && c.occupied_by(net);
       if (is_target || is_join) {
         const std::uint64_t key = e.key + delta[kStraight];
-        if (key < visited.best(goal_state) && key <= upper) {
-          visited.record(goal_state, key, e.state);
+        if (key < goal_key && key <= upper) {
+          goal_key = key;
+          goal_parent = e.state;
           open.push(kStraight, key, goal_state);
           if (bound) upper = key;
         }
       } else if (c.passable(net, horiz) && !c.occupied_by(net)) {
         const int lane = c.crosses(net, horiz) ? kCrossing : kStraight;
-        relax(lane, q, d, e.state, e.key + delta[lane]);
+        relax(lane, q, d, Move::Step, e.key + delta[lane]);
       }
     }
     // Turns: start a perpendicular expansion wave (one bend deeper).  The
@@ -266,35 +296,37 @@ std::optional<SearchResult> grid_search(const RoutingGrid& grid,
     if (grid.cell(p).can_turn(net)) {
       for (geom::Dir nd : geom::kAllDirs) {
         if (geom::is_horizontal(nd) == geom::is_horizontal(d)) continue;
-        relax(kBend, p, nd, e.state, e.key + delta[kBend]);
+        relax(kBend, p, nd, turn_from(d, nd), e.key + delta[kBend]);
       }
     }
   }
   if (expanded) *expanded = expansions;
 
-  if (table.best(goal_state) == StateTable::kUnvisited) return std::nullopt;
+  if (goal_key == StateTable::kUnvisited) return std::nullopt;
 
   // Trace back the state chain, recounting its cost (the key holds only
-  // what the mode orders by): a state on the same point as its parent is a
-  // turn, any other is a straight step.  The goal adds the final step.
+  // what the mode orders by): each state's move names its parent and says
+  // whether it cost a bend or a step.  The goal adds the final step.
   PathCost cost{0, 0, 1};
   std::vector<geom::Point> chain;
-  for (int s = table.parent(goal_state); s != -1; s = table.parent(s)) {
+  for (int s = goal_parent;;) {
     const geom::Point p = point_of(s);
+    const geom::Dir d = dir_of(s);
     chain.push_back(p);
-    const int from = table.parent(s);
-    if (from == -1) break;  // a start state
-    if (from / 4 == s / 4) {
-      ++cost.bends;
-    } else {
+    const Move move = table.move(s);
+    if (move == Move::Start) break;
+    if (move == Move::Step) {
       ++cost.length;
-      cost.crossings += grid.crosses_at(p, net, geom::is_horizontal(dir_of(s))) ? 1 : 0;
+      cost.crossings += grid.crosses_at(p, net, geom::is_horizontal(d)) ? 1 : 0;
+      s = state_of(p - geom::delta(d), d);
+    } else {
+      ++cost.bends;
+      s = state_of(p, turn_origin(d, move));
     }
   }
   std::reverse(chain.begin(), chain.end());
   chain.push_back(prob.target ? prob.target->p
-                              : point_of(table.parent(goal_state)) +
-                                    geom::delta(dir_of(table.parent(goal_state))));
+                              : point_of(goal_parent) + geom::delta(dir_of(goal_parent)));
   std::vector<geom::Point> path;
   for (const geom::Point& p : chain) {
     if (!path.empty() && path.back() == p) continue;  // turn-in-place states

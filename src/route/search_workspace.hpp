@@ -2,10 +2,11 @@
 //
 // Every connection search used to allocate O(W*H) `best`/`parent` vectors
 // and a fresh open set; on large planes the allocation and paging cost
-// rivals the search itself.  A SearchWorkspace keeps those arrays alive
-// across searches and invalidates them in O(1) with a generation stamp: a
-// slot's contents are only meaningful when its stamp equals the table's
-// current generation, so "clearing" the arrays is a counter increment.
+// rivals the search itself.  A SearchWorkspace keeps one 8-byte slot per
+// state alive across searches (key, arrival move and stamp in one word)
+// and invalidates it in O(1) with a generation stamp: a slot's contents
+// are only meaningful when its stamp equals the table's current
+// generation, so "clearing" the table is a counter increment.
 // One workspace serves one thread; the parallel driver keeps one per
 // worker.
 //
@@ -110,33 +111,42 @@ class OpenSet {
   std::uint32_t seq_ = 0;
 };
 
-/// Best keys and parents of one search's states.
+/// How the search reached a state (p, d).  Two bits name the state's
+/// parent, so the table stores no parent index.  Headings are numbered so
+/// that the two perpendicular to `d` are `d ^ 2` and `d ^ 3`.
+enum class Move : std::uint8_t {
+  Step = 0,   ///< straight step from (p - delta(d), d)
+  Turn2 = 1,  ///< turn at p from heading d ^ 2
+  Turn3 = 2,  ///< turn at p from heading d ^ 3
+  Start = 3,  ///< a start state: no parent
+};
+
+/// Best keys and arrival moves of one search's states.
 class StateTable {
  public:
   static constexpr std::uint64_t kUnvisited =
       std::numeric_limits<std::uint64_t>::max();
 
-  /// Search keys are 56 bits: a 16-bit bends field (bits 40-55) over two
-  /// 20-bit fields (crossings and length, in the mode's order).  The top 8
-  /// bits of each slot hold a generation stamp.  A slot is valid only when
-  /// its stamp matches the current one; stamps cycle 1..255 (0 means
-  /// scrubbed), and every 255th begin() re-scrubs the slots written since
-  /// the last scrub so a stale slot can never alias a live stamp.  The
-  /// array stays 8 bytes per state — the same cache footprint as a plain
-  /// `best` vector — while "clearing" costs 1/255th of a fill on average
-  /// instead of a full allocate-and-fill per search.
-  static constexpr int kKeyBits = 56;
+  /// One 8-byte slot per state: `stamp:8 | move:2 | key:54`.  Search keys
+  /// are 54 bits: a 14-bit bends field (bits 40-53) over two 20-bit fields
+  /// (crossings and length, in the mode's order).  Bits 54-55 hold the
+  /// state's Move and the top 8 bits a generation stamp.  A slot is valid
+  /// only when its stamp matches the current one; stamps cycle 1..255 (0
+  /// means scrubbed), and every 255th begin() re-scrubs the slots written
+  /// since the last scrub so a stale slot can never alias a live stamp.
+  /// "Clearing" thus costs 1/255th of a fill on average instead of a full
+  /// allocate-and-fill per search.
+  static constexpr int kKeyBits = 54;
+  static constexpr int kStampShift = 56;
   static constexpr std::uint64_t kKeyMask = (std::uint64_t{1} << kKeyBits) - 1;
-  static constexpr std::uint32_t kStamps = (1u << (64 - kKeyBits)) - 1;
+  static constexpr std::uint64_t kStampMask = ~((std::uint64_t{1} << kStampShift) - 1);
+  static constexpr std::uint32_t kStamps = (1u << (64 - kStampShift)) - 1;
 
   /// Prepares the table for a search over `nstates` states: grows the
-  /// arrays if needed and invalidates previous contents (amortized O(1)).
+  /// array if needed and invalidates previous contents (amortized O(1)).
   void begin(int nstates) {
     const size_t need = static_cast<size_t>(nstates);
-    if (slots_.size() < need) {
-      slots_.resize(need);
-      parent_.resize(need);
-    }
+    if (slots_.size() < need) slots_.resize(need);
     stamp_ = stamp_ % kStamps + 1;
     if (stamp_ == 1) {
       // Only slots below the largest search since the last scrub were
@@ -148,55 +158,53 @@ class StateTable {
     used_ = std::max(used_, need);
   }
 
-  /// Raw pointers into the (already sized) arrays for the search hot loop.
-  /// Holding them as locals lets the optimizer keep them in registers:
+  /// A raw pointer into the (already sized) array for the search hot loop.
+  /// Holding it as a local lets the optimizer keep it in a register:
   /// open-set pushes mutate the workspace object, so access through the
   /// workspace itself would force a data-pointer reload after every relax.
   /// Valid until the next begin().
   struct View {
     std::uint64_t* slots;
-    std::int32_t* parent;
     std::uint64_t tag;  ///< current stamp, pre-shifted into the top bits
 
     std::uint64_t best(int s) const {
       const std::uint64_t v = slots[s];
-      return (v & ~kKeyMask) == tag ? (v & kKeyMask) : kUnvisited;
+      return (v & kStampMask) == tag ? (v & kKeyMask) : kUnvisited;
     }
-    /// Throws std::length_error for a key that would reach the stamp bits
-    /// (a path of 65536 or more bends).
-    void record(int s, std::uint64_t key, int from) const {
+    /// Throws std::length_error for a key that would reach the move bits
+    /// (a path of 16384 or more bends).
+    void record(int s, std::uint64_t key, Move move) const {
       if (key > kKeyMask) [[unlikely]] key_overflow();
-      slots[s] = key | tag;
-      parent[s] = from;
+      slots[s] = tag | static_cast<std::uint64_t>(move) << kKeyBits | key;
     }
   };
   View view() {
-    return {slots_.data(), parent_.data(),
-            static_cast<std::uint64_t>(stamp_) << kKeyBits};
+    return {slots_.data(), static_cast<std::uint64_t>(stamp_) << kStampShift};
   }
 
   std::uint64_t best(int s) const {
     const std::uint64_t v = slots_[s];
-    const std::uint64_t tag = static_cast<std::uint64_t>(stamp_) << kKeyBits;
-    return (v & ~kKeyMask) == tag ? (v & kKeyMask) : kUnvisited;
+    const std::uint64_t tag = static_cast<std::uint64_t>(stamp_) << kStampShift;
+    return (v & kStampMask) == tag ? (v & kKeyMask) : kUnvisited;
   }
   /// Only meaningful for states recorded in the current generation.
-  int parent(int s) const { return parent_[s]; }
+  Move move(int s) const { return static_cast<Move>((slots_[s] >> kKeyBits) & 3); }
 
   /// Slots zeroed by scrubs so far (a work counter).
   std::uint64_t scrubbed_slots() const { return scrubbed_; }
 
  private:
   [[noreturn, gnu::cold, gnu::noinline]] static void key_overflow() {
-    throw std::length_error("search key overflows its 56 bits");
+    throw std::length_error("search key overflows its 54 bits");
   }
 
   std::vector<std::uint64_t> slots_;
-  std::vector<std::int32_t> parent_;
   std::uint32_t stamp_ = 0;
   size_t used_ = 0;  ///< slots possibly written since the last scrub
   std::uint64_t scrubbed_ = 0;
 };
+static_assert(StateTable::kKeyBits + 2 == StateTable::kStampShift,
+              "a Move takes the two bits between key and stamp");
 
 class SearchWorkspace {
  public:

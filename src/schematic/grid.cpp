@@ -10,33 +10,78 @@ RoutingGrid::RoutingGrid(geom::Rect area) : area_(area) {
   cells_.resize(static_cast<size_t>(width_) * (area.height() + 1));
 }
 
+namespace {
+
+void check_net(NetId n) {
+  if (n < kNone || n > RoutingGrid::kMaxNet) {
+    throw std::invalid_argument("net id out of the routing grid's range");
+  }
+}
+
+/// A net id as gate bits, with `none` standing for kNone, and back.
+std::uint32_t gate_bits(NetId n, std::uint32_t none) {
+  return n == kNone ? none : static_cast<std::uint32_t>(n);
+}
+NetId gate_net(std::uint32_t bits, std::uint32_t none) {
+  return bits == none ? kNone : static_cast<NetId>(bits);
+}
+
+}  // namespace
+
+RoutingGrid::Obstacle RoutingGrid::obstacle(size_t i) const {
+  const std::uint32_t gate = cells_[i].gate;
+  if ((gate & kBlockedBit) == 0) return {false, kNone, gate_net(gate, kAnyNet)};
+  if ((gate & kSideBit) != 0) return side_.at(i);
+  return {true, gate_net(gate & kNetMask, kNoNet), kNone};
+}
+
+void RoutingGrid::set_obstacle(size_t i, const Obstacle& o) {
+  // Only set_terminal sets an owner, and it blocks the cell.
+  std::uint32_t& gate = cells_[i].gate;
+  if ((gate & kSideBit) != 0) side_.erase(i);
+  if (!o.blocked) {
+    gate = gate_bits(o.claim, kAnyNet);
+  } else if (o.claim == kNone) {
+    gate = kBlockedBit | gate_bits(o.owner, kNoNet);
+  } else {
+    const std::uint32_t who = o.owner == o.claim ? gate_bits(o.owner, kNoNet) : kNoNet;
+    gate = kBlockedBit | kSideBit | who;
+    side_[i] = o;
+  }
+}
+
 void RoutingGrid::block(geom::Point p) {
-  if (in_bounds(p)) at(p).blocked = true;
+  if (!in_bounds(p)) return;
+  Obstacle o = obstacle(index(p));
+  o.blocked = true;
+  set_obstacle(index(p), o);
 }
 
 void RoutingGrid::block_rect(geom::Rect r) {
   const geom::Rect clipped = r.intersect(area_);
   for (int y = clipped.lo.y; y <= clipped.hi.y; ++y) {
-    for (int x = clipped.lo.x; x <= clipped.hi.x; ++x) {
-      at({x, y}).blocked = true;
-    }
+    for (int x = clipped.lo.x; x <= clipped.hi.x; ++x) block({x, y});
   }
 }
 
 void RoutingGrid::set_terminal(geom::Point p, NetId n) {
   if (!in_bounds(p)) throw std::invalid_argument("terminal outside routing area");
-  Cell& c = at(p);
-  c.blocked = true;
-  c.owner = n;
+  check_net(n);
+  Obstacle o = obstacle(index(p));
+  o.blocked = true;
+  o.owner = n;
+  set_obstacle(index(p), o);
 }
 
 void RoutingGrid::set_claim(geom::Point p, NetId n) {
-  if (in_bounds(p)) at(p).claim = n;
+  check_net(n);
+  if (!in_bounds(p)) return;
+  Obstacle o = obstacle(index(p));
+  o.claim = n;
+  set_obstacle(index(p), o);
 }
 
-void RoutingGrid::clear_claim(geom::Point p) {
-  if (in_bounds(p)) at(p).claim = kNone;
-}
+void RoutingGrid::clear_claim(geom::Point p) { set_claim(p, kNone); }
 
 void RoutingGrid::occupy_polyline(NetId n, std::span<const geom::Point> pts,
                                   std::vector<TrackWrite>* journal) {
@@ -99,6 +144,9 @@ RoutingGrid RoutingGrid::clipped(geom::Rect sub) const {
   for (int y = inter.lo.y; y <= inter.hi.y; ++y) {
     for (int x = inter.lo.x; x <= inter.hi.x; ++x) {
       g.at({x, y}) = cell({x, y});
+      if ((cell({x, y}).gate & kSideBit) != 0) {
+        g.side_[g.index({x, y})] = side_.at(index({x, y}));
+      }
     }
   }
   return g;

@@ -13,9 +13,20 @@
 //   * owner        — terminal cell: only the owning net may enter,
 //   * h / v        — net occupying the point horizontally / vertically,
 //   * claim        — claimpoint reservation (section 5.7).
+//
+// A Cell is 12 bytes: `h`, `v` and one 32-bit gate word that folds the
+// other three into who may enter the point.  Gate bit 31 marks a blocked
+// cell; bits 0-29 name the one net that may enter, or hold kAnyNet (every
+// net: a free, unclaimed cell) or kNoNet (none).  So a free cell stores
+// its claim there and a blocked one its terminal owner.  A blocked cell
+// can carry a claim too (the API allows it; the router never makes one);
+// such a cell sets gate bit 30 and keeps its owner and claim in a small
+// side map, with bits 0-29 still saying who may enter.
 #pragma once
 
+#include <cstdint>
 #include <span>
+#include <unordered_map>
 #include <vector>
 
 #include "geom/rect.hpp"
@@ -32,6 +43,8 @@ class RoutingGrid {
   bool in_bounds(geom::Point p) const { return area_.contains(p); }
 
   // ----- obstacle construction ----------------------------------------------
+  // Net ids given here are kNone or 0 .. kMaxNet; others throw
+  // std::invalid_argument.
   void block(geom::Point p);
   void block_rect(geom::Rect r);
   /// Marks a terminal cell: blocked for everyone except net `n`.
@@ -40,19 +53,26 @@ class RoutingGrid {
   void set_claim(geom::Point p, NetId n);
   void clear_claim(geom::Point p);
 
+  /// Gate word layout (see the file comment).
+  static constexpr std::uint32_t kBlockedBit = 1u << 31;
+  static constexpr std::uint32_t kSideBit = 1u << 30;
+  static constexpr std::uint32_t kNetMask = kSideBit - 1;
+  static constexpr std::uint32_t kAnyNet = kNetMask;
+  static constexpr std::uint32_t kNoNet = kNetMask - 1;
+  static constexpr NetId kMaxNet = static_cast<NetId>(kNoNet) - 1;
+
   // ----- state queries -------------------------------------------------------
   /// One grid point's state.  Its predicates are the rules behind the point
   /// queries below, so a caller holding one cell (the search core's hot
-  /// loop) derives all of them from a single load.
+  /// loop) derives all of them from a single load.  The net `n` asked
+  /// about is 0 .. kMaxNet.
   struct Cell {
     NetId h = kNone;
     NetId v = kNone;
-    NetId owner = kNone;
-    NetId claim = kNone;
-    bool blocked = false;
+    std::uint32_t gate = kAnyNet;
 
     bool enterable(NetId n) const {
-      return (!blocked || owner == n) && (claim == kNone || claim == n);
+      return gate == kAnyNet || (gate & kNetMask) == static_cast<std::uint32_t>(n);
     }
     bool passable(NetId n, bool horizontal) const {
       return enterable(n) && (horizontal ? h : v) == kNone;
@@ -71,9 +91,15 @@ class RoutingGrid {
   /// The cell at `p`, which must be in bounds (unchecked).
   const Cell& cell(geom::Point p) const { return cells_[index(p)]; }
 
-  bool blocked(geom::Point p) const { return !in_bounds(p) || cell(p).blocked; }
-  NetId terminal_owner(geom::Point p) const { return in_bounds(p) ? cell(p).owner : kNone; }
-  NetId claim_owner(geom::Point p) const { return in_bounds(p) ? cell(p).claim : kNone; }
+  bool blocked(geom::Point p) const {
+    return !in_bounds(p) || (cell(p).gate & kBlockedBit) != 0;
+  }
+  NetId terminal_owner(geom::Point p) const {
+    return in_bounds(p) ? obstacle(index(p)).owner : kNone;
+  }
+  NetId claim_owner(geom::Point p) const {
+    return in_bounds(p) ? obstacle(index(p)).claim : kNone;
+  }
   NetId h_net(geom::Point p) const { return in_bounds(p) ? cell(p).h : kNone; }
   NetId v_net(geom::Point p) const { return in_bounds(p) ? cell(p).v : kNone; }
 
@@ -154,10 +180,22 @@ class RoutingGrid {
   }
   Cell& at(geom::Point p) { return cells_[index(p)]; }
 
+  /// The obstacle state the gate word encodes, as the API sets it.
+  struct Obstacle {
+    bool blocked = false;
+    NetId owner = kNone;
+    NetId claim = kNone;
+  };
+  Obstacle obstacle(size_t i) const;
+  void set_obstacle(size_t i, const Obstacle& o);
+
   geom::Rect area_;
   int width_ = 0;  // number of columns
   std::vector<Cell> cells_;
+  /// Owner and claim of the blocked cells that also carry a claim.
+  std::unordered_map<size_t, Obstacle> side_;
 };
+static_assert(sizeof(RoutingGrid::Cell) == 12);
 
 /// Builds the routing plane for a fully placed diagram: the placement
 /// bounding box expanded by `margin` empty tracks, with every module

@@ -1,8 +1,15 @@
 // Unit tests for the routing grid: obstacle bookkeeping, passability,
-// crossing/turn rules, claimpoints and grid construction from diagrams.
+// crossing/turn rules, claimpoints and grid construction from diagrams,
+// plus an oracle test of the packed cell against the former five-field one.
 #include <gtest/gtest.h>
 
+#include <random>
+#include <stdexcept>
+#include <string>
+#include <vector>
+
 #include "netlist/module_library.hpp"
+#include "route/search_workspace.hpp"
 #include "schematic/grid.hpp"
 
 namespace na {
@@ -113,6 +120,260 @@ TEST(RoutingGrid, CrossingCount) {
   g.occupy_polyline(1, v1);
   g.occupy_polyline(2, v2);
   EXPECT_EQ(g.crossing_count(), 2);
+}
+
+// --- packed cells against the former five-field cell -----------------------
+
+static_assert(sizeof(RoutingGrid::Cell) == 12);
+static_assert(sizeof(std::uint64_t) * 8 ==
+              detail::StateTable::kStampShift + 8);  // one 8-byte search slot
+
+/// The routing grid as it was before cells were packed: five plain fields
+/// per point and the rules written over them.  The reference for
+/// PackedCellsMatchFiveFieldReference.
+class ReferenceGrid {
+ public:
+  explicit ReferenceGrid(geom::Rect area)
+      : area_(area),
+        width_(area.width() + 1),
+        cells_(static_cast<size_t>(width_) * (area.height() + 1)) {}
+
+  bool in_bounds(geom::Point p) const { return area_.contains(p); }
+  void block(geom::Point p) {
+    if (in_bounds(p)) at(p).blocked = true;
+  }
+  void block_rect(geom::Rect r) {
+    const geom::Rect c = r.intersect(area_);
+    for (int y = c.lo.y; y <= c.hi.y; ++y) {
+      for (int x = c.lo.x; x <= c.hi.x; ++x) at({x, y}).blocked = true;
+    }
+  }
+  void set_terminal(geom::Point p, NetId n) {
+    at(p).blocked = true;
+    at(p).owner = n;
+  }
+  void set_claim(geom::Point p, NetId n) {
+    if (in_bounds(p)) at(p).claim = n;
+  }
+  void clear_claim(geom::Point p) { set_claim(p, kNone); }
+  void set_track(geom::Point p, bool horizontal, NetId n) {
+    (horizontal ? at(p).h : at(p).v) = n;
+  }
+  /// Same walk and the same partial writes before a throw as the grid's.
+  void occupy_polyline(NetId n, const std::vector<geom::Point>& pts) {
+    for (size_t i = 1; i < pts.size(); ++i) {
+      const geom::Point a = pts[i - 1];
+      const geom::Point b = pts[i];
+      if (a == b) continue;
+      const bool horizontal = a.y == b.y;
+      const geom::Point step = {a.x == b.x ? 0 : (b.x > a.x ? 1 : -1),
+                                a.y == b.y ? 0 : (b.y > a.y ? 1 : -1)};
+      for (geom::Point p = a;; p += step) {
+        NetId& slot = horizontal ? at(p).h : at(p).v;
+        if (slot != n && slot != kNone) throw std::logic_error("overlap");
+        slot = n;
+        if (p == b) break;
+      }
+    }
+  }
+  ReferenceGrid clipped(geom::Rect sub) const {
+    ReferenceGrid g(sub.intersect(area_));
+    for (int y = g.area_.lo.y; y <= g.area_.hi.y; ++y) {
+      for (int x = g.area_.lo.x; x <= g.area_.hi.x; ++x) g.at({x, y}) = cell({x, y});
+    }
+    return g;
+  }
+
+  bool blocked(geom::Point p) const { return !in_bounds(p) || cell(p).blocked; }
+  NetId terminal_owner(geom::Point p) const { return in_bounds(p) ? cell(p).owner : kNone; }
+  NetId claim_owner(geom::Point p) const { return in_bounds(p) ? cell(p).claim : kNone; }
+  NetId h_net(geom::Point p) const { return in_bounds(p) ? cell(p).h : kNone; }
+  NetId v_net(geom::Point p) const { return in_bounds(p) ? cell(p).v : kNone; }
+  bool enterable(geom::Point p, NetId n) const {
+    if (!in_bounds(p)) return false;
+    const Cell& c = cell(p);
+    return (!c.blocked || c.owner == n) && (c.claim == kNone || c.claim == n);
+  }
+  bool passable(geom::Point p, NetId n, bool horizontal) const {
+    return enterable(p, n) && (horizontal ? cell(p).h : cell(p).v) == kNone;
+  }
+  bool can_turn(geom::Point p, NetId n) const {
+    return enterable(p, n) && cell(p).h == kNone && cell(p).v == kNone;
+  }
+  bool crosses_at(geom::Point p, NetId n, bool horizontal) const {
+    if (!in_bounds(p)) return false;
+    const NetId other = horizontal ? cell(p).v : cell(p).h;
+    return other != kNone && other != n;
+  }
+  bool occupied_by(geom::Point p, NetId n) const {
+    return in_bounds(p) && (cell(p).h == n || cell(p).v == n);
+  }
+  bool node_free(geom::Point p, NetId n) const {
+    if (!in_bounds(p)) return false;
+    const Cell& c = cell(p);
+    return (c.h == kNone || c.h == n) && (c.v == kNone || c.v == n);
+  }
+
+ private:
+  struct Cell {
+    NetId h = kNone;
+    NetId v = kNone;
+    NetId owner = kNone;
+    NetId claim = kNone;
+    bool blocked = false;
+  };
+  const Cell& cell(geom::Point p) const {
+    return cells_[static_cast<size_t>(p.y - area_.lo.y) * width_ + (p.x - area_.lo.x)];
+  }
+  Cell& at(geom::Point p) {
+    return cells_[static_cast<size_t>(p.y - area_.lo.y) * width_ + (p.x - area_.lo.x)];
+  }
+
+  geom::Rect area_;
+  int width_;
+  std::vector<Cell> cells_;
+};
+
+/// Every accessor and predicate at every point of `area` (which may reach
+/// beyond the grid), for nets 0-3.
+template <class Grid>
+std::vector<int> observe(const Grid& g, geom::Rect area) {
+  std::vector<int> out;
+  for (int y = area.lo.y; y <= area.hi.y; ++y) {
+    for (int x = area.lo.x; x <= area.hi.x; ++x) {
+      const geom::Point p{x, y};
+      out.insert(out.end(), {g.blocked(p), g.terminal_owner(p), g.claim_owner(p),
+                             g.h_net(p), g.v_net(p)});
+      for (NetId n = 0; n <= 3; ++n) {
+        out.insert(out.end(),
+                   {g.enterable(p, n), g.passable(p, n, true), g.passable(p, n, false),
+                    g.can_turn(p, n), g.crosses_at(p, n, true), g.crosses_at(p, n, false),
+                    g.occupied_by(p, n), g.node_free(p, n)});
+      }
+    }
+  }
+  return out;
+}
+
+TEST(RoutingGrid, PackedCellsMatchFiveFieldReference) {
+  const geom::Rect area{{-2, -1}, {4, 4}};
+  const geom::Rect ring = area.expanded(1);
+  std::mt19937 rng(20261019);
+  auto uni = [&](int lo, int hi) { return std::uniform_int_distribution<int>(lo, hi)(rng); };
+  auto point_in = [&](geom::Rect r) {
+    return geom::Point{uni(r.lo.x, r.hi.x), uni(r.lo.y, r.hi.y)};
+  };
+  // Terminals and claims land on a few hot points half the time, so that
+  // they meet each other and blocked cells often.
+  const geom::Rect hot{{0, 0}, {2, 1}};
+  auto target = [&](geom::Rect r) { return point_in(uni(0, 1) ? hot : r); };
+  auto net_or_none = [&] { return uni(kNone, 3); };
+  // How often the rare combinations came up (each before the op's check).
+  int claim_on_blocked = 0, claim_on_terminal = 0, terminal_on_claimed = 0;
+  int same_net_both = 0;
+  for (int scenario = 0; scenario < 150; ++scenario) {
+    RoutingGrid g(area);
+    ReferenceGrid ref(area);
+    for (int op = 0; op < 40; ++op) {
+      const std::string what = "scenario " + std::to_string(scenario) + " op " +
+                               std::to_string(op);
+      switch (uni(0, 6)) {
+        case 0: {
+          const geom::Point p = point_in(ring);
+          g.block(p);
+          ref.block(p);
+          break;
+        }
+        case 1: {
+          const geom::Point a = point_in(ring);
+          const geom::Rect r{a, a + geom::Point{uni(0, 2), uni(0, 2)}};
+          g.block_rect(r);
+          ref.block_rect(r);
+          break;
+        }
+        case 2: {
+          const geom::Point p = target(area);
+          const NetId n = net_or_none();
+          terminal_on_claimed += ref.claim_owner(p) != kNone;
+          g.set_terminal(p, n);
+          ref.set_terminal(p, n);
+          break;
+        }
+        case 3: {
+          const geom::Point p = target(ring);
+          const NetId n = net_or_none();
+          if (n != kNone && ref.in_bounds(p) && ref.blocked(p)) {
+            ++claim_on_blocked;
+            claim_on_terminal += ref.terminal_owner(p) != kNone;
+            same_net_both += ref.terminal_owner(p) == n;
+          }
+          g.set_claim(p, n);
+          ref.set_claim(p, n);
+          break;
+        }
+        case 4: {
+          const geom::Point p = target(ring);
+          g.clear_claim(p);
+          ref.clear_claim(p);
+          break;
+        }
+        case 5: {
+          const geom::Point p = point_in(area);
+          const bool horizontal = uni(0, 1) == 1;
+          const NetId n = net_or_none();
+          g.set_track(p, horizontal, n);
+          ref.set_track(p, horizontal, n);
+          break;
+        }
+        case 6: {
+          std::vector<geom::Point> pts{point_in(area)};
+          for (int i = uni(1, 3); i > 0; --i) {
+            geom::Point q = point_in(area);
+            (i % 2 ? q.y : q.x) = (i % 2 ? pts.back().y : pts.back().x);
+            pts.push_back(q);
+          }
+          const NetId n = uni(0, 3);
+          bool threw = false, ref_threw = false;
+          try {
+            g.occupy_polyline(n, pts);
+          } catch (const std::logic_error&) {
+            threw = true;
+          }
+          try {
+            ref.occupy_polyline(n, pts);
+          } catch (const std::logic_error&) {
+            ref_threw = true;
+          }
+          ASSERT_EQ(threw, ref_threw) << what;
+          break;
+        }
+      }
+      ASSERT_EQ(observe(g, ring), observe(ref, ring)) << what;
+    }
+    // A clip copies every covered cell, the side-kept ones included.
+    const geom::Rect sub{point_in(area), point_in(area)};
+    const geom::Rect clip{{std::min(sub.lo.x, sub.hi.x), std::min(sub.lo.y, sub.hi.y)},
+                          {std::max(sub.lo.x, sub.hi.x), std::max(sub.lo.y, sub.hi.y)}};
+    ASSERT_EQ(observe(g.clipped(clip), ring), observe(ref.clipped(clip), ring))
+        << "scenario " << scenario;
+  }
+  // The seed reaches every rare combination, many times.
+  EXPECT_GT(claim_on_blocked, 100);
+  EXPECT_GT(claim_on_terminal, 50);
+  EXPECT_GT(terminal_on_claimed, 50);
+  EXPECT_GT(same_net_both, 10);
+}
+
+TEST(RoutingGrid, RejectsNetIdsOutsideTheGateWord) {
+  RoutingGrid g({{0, 0}, {3, 3}});
+  EXPECT_THROW(g.set_terminal({1, 1}, RoutingGrid::kMaxNet + 1), std::invalid_argument);
+  EXPECT_THROW(g.set_claim({1, 1}, -2), std::invalid_argument);
+  g.set_terminal({1, 1}, RoutingGrid::kMaxNet);
+  g.set_claim({1, 1}, RoutingGrid::kMaxNet);
+  EXPECT_EQ(g.terminal_owner({1, 1}), RoutingGrid::kMaxNet);
+  EXPECT_EQ(g.claim_owner({1, 1}), RoutingGrid::kMaxNet);
+  EXPECT_TRUE(g.enterable({1, 1}, RoutingGrid::kMaxNet));
+  EXPECT_FALSE(g.enterable({1, 1}, 0));
 }
 
 // --- grid construction from a placed diagram --------------------------------

@@ -8,6 +8,7 @@
 // tests flip around: the same instrumented code must record nothing.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cctype>
 #include <cstdio>
 #include <fstream>
@@ -16,6 +17,11 @@
 #include <sstream>
 #include <string>
 #include <vector>
+
+#if defined(__linux__)
+#include <sys/resource.h>
+#include <unistd.h>
+#endif
 
 #include "core/generator.hpp"
 #include "core/thread_pool.hpp"
@@ -198,6 +204,10 @@ class JsonParser {
   size_t pos_ = 0;
 };
 
+// ----- trace recorder --------------------------------------------------------
+
+#if NA_TRACE_ENABLED
+
 /// Reconstructs exact nanoseconds from the emitter's fixed "<us>.<3-digit>"
 /// decimal text — the round-trip check for ts/dur.
 std::uint64_t ns_from_us_text(const std::string& text) {
@@ -214,10 +224,6 @@ void fresh_trace() {
   obs::trace_reset();
   obs::trace_enable();
 }
-
-// ----- trace recorder --------------------------------------------------------
-
-#if NA_TRACE_ENABLED
 
 TEST(Trace, CompiledIn) { EXPECT_TRUE(obs::trace_compiled_in()); }
 
@@ -639,6 +645,23 @@ TEST(Metrics, RegistryOrderAndLookup) {
   const std::string text = reg.to_text();
   EXPECT_LT(text.find("b.count"), text.find("a.count"));
   EXPECT_NE(text.find("1.500"), std::string::npos);
+}
+
+TEST(Metrics, PeakRssIsPositiveAndWithinRusage) {
+  const long long peak = obs::peak_rss_bytes();
+  EXPECT_GT(peak, 0);
+#if defined(__linux__)
+  // ru_maxrss (KiB) only grows and also counts the exec'ing process's
+  // peak, so it bounds this process's own high-water mark read before it,
+  // up to counter drift: the kernel fills ru_maxrss from per-CPU batched
+  // RSS counters, which may trail /proc's exact VmHWM by one batch (at
+  // least 32 pages) per CPU.
+  struct rusage ru {};
+  ASSERT_EQ(getrusage(RUSAGE_SELF, &ru), 0);
+  const long long cpus = std::max(1L, sysconf(_SC_NPROCESSORS_CONF));
+  const long long drift = std::max(32LL, 2 * cpus) * cpus * sysconf(_SC_PAGESIZE);
+  EXPECT_LE(peak, static_cast<long long>(ru.ru_maxrss) * 1024 + drift);
+#endif
 }
 
 TEST(Metrics, JsonEmissionCarriesSchemaVersion) {

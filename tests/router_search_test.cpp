@@ -642,7 +642,8 @@ TEST(SearchCore, StampWrapNeverShowsStaleSlots) {
     for (int s = 0; s < kStates; ++s) {
       ASSERT_EQ(table.best(s), detail::StateTable::kUnvisited) << "search " << search;
     }
-    table.view().record(search % kStates, static_cast<std::uint64_t>(search), -1);
+    table.view().record(search % kStates, static_cast<std::uint64_t>(search),
+                        detail::Move::Start);
     EXPECT_EQ(table.best(search % kStates), static_cast<std::uint64_t>(search));
   }
   // Searches 256 and 511 scrub; the first needs none (fresh slots are 0).
@@ -654,16 +655,52 @@ TEST(SearchCore, KeyGuardRejectsKeysReachingTheStamp) {
   StateTable table;
   table.begin(2);
   const StateTable::View v = table.view();
-  v.record(0, StateTable::kKeyMask, -1);
+  v.record(0, StateTable::kKeyMask, detail::Move::Start);
   EXPECT_EQ(table.best(0), StateTable::kKeyMask);
-  EXPECT_THROW(v.record(1, StateTable::kKeyMask + 1, 0), std::length_error);
+  EXPECT_THROW(v.record(1, StateTable::kKeyMask + 1, detail::Move::Step),
+               std::length_error);
   EXPECT_EQ(table.best(1), StateTable::kUnvisited);
-  // The bends field holds 65535 bends over full lower fields; one more
-  // bend reaches the stamp.
+  // The bends field holds 16383 bends over full lower fields; one more
+  // bend reaches the move bits.
   constexpr int kField = (1 << 20) - 1;
   const auto mode = detail::CostMode::BendsCrossingsLength;
-  EXPECT_EQ(detail::pack_cost({65535, kField, kField}, mode), StateTable::kKeyMask);
-  EXPECT_THROW(v.record(1, detail::pack_cost({65536, 0, 0}, mode), 0), std::length_error);
+  EXPECT_EQ(detail::pack_cost({16383, kField, kField}, mode), StateTable::kKeyMask);
+  v.record(1, detail::pack_cost({16383, 0, 0}, mode), detail::Move::Turn3);
+  EXPECT_EQ(table.best(1), detail::pack_cost({16383, 0, 0}, mode));
+  EXPECT_THROW(v.record(1, detail::pack_cost({16384, 0, 0}, mode), detail::Move::Step),
+               std::length_error);
+}
+
+TEST(SearchCore, SlotFieldsRoundTripWithoutBleeding) {
+  using detail::Move;
+  using detail::StateTable;
+  constexpr Move kMoves[] = {Move::Step, Move::Turn2, Move::Turn3, Move::Start};
+  StateTable table;
+  int checked = 0;
+  for (std::uint32_t stamp = 1; stamp <= StateTable::kStamps; ++stamp) {
+    table.begin(8);  // the table's stamp is now `stamp`
+    if (stamp != 1 && stamp != StateTable::kStamps) continue;
+    const StateTable::View v = table.view();
+    for (int m = 0; m < 4; ++m) {
+      // Slot 2m: the largest key; slot 2m+1: key 0.  Neither may disturb
+      // the other fields of its own slot or of any other.
+      v.record(2 * m, StateTable::kKeyMask, kMoves[m]);
+      v.record(2 * m + 1, 0, kMoves[m]);
+    }
+    for (int m = 0; m < 4; ++m) {
+      EXPECT_EQ(table.best(2 * m), StateTable::kKeyMask) << stamp << " " << m;
+      EXPECT_EQ(table.best(2 * m + 1), 0u) << stamp << " " << m;
+      EXPECT_EQ(table.move(2 * m), kMoves[m]) << stamp << " " << m;
+      EXPECT_EQ(table.move(2 * m + 1), kMoves[m]) << stamp << " " << m;
+      EXPECT_EQ(v.slots[2 * m] >> StateTable::kStampShift, stamp);
+      EXPECT_EQ(v.slots[2 * m + 1] >> StateTable::kStampShift, stamp);
+    }
+    ++checked;
+  }
+  EXPECT_EQ(checked, 2);
+  // The next search sees none of it.
+  table.begin(8);
+  for (int s = 0; s < 8; ++s) EXPECT_EQ(table.best(s), StateTable::kUnvisited);
 }
 
 /// Hull of every cell the searching net 0 occupies: the join hull the
