@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <limits>
 #include <unordered_set>
 
+#include "incremental/vacancy.hpp"
 #include "place/box_place.hpp"
 #include "place/boxes.hpp"
 #include "place/gravity.hpp"
@@ -97,102 +97,6 @@ std::optional<geom::Point> net_gravity_center(
   return geom::Point{static_cast<int>(sx / cnt), static_cast<int>(sy / cnt)};
 }
 
-/// Grid points occupied by the cached diagram's routed nets — the "is this
-/// vacancy really vacant" oracle for the gravity-seeded insertion below.
-struct RoutedCells {
-  std::unordered_set<std::uint64_t> cells;
-
-  static std::uint64_t key(geom::Point p) {
-    return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(p.x)) << 32) |
-           static_cast<std::uint32_t>(p.y);
-  }
-
-  explicit RoutedCells(const Diagram& dia) {
-    const Network& net = dia.network();
-    for (NetId n = 0; n < net.net_count(); ++n) {
-      for (const auto& pl : dia.route(n).polylines) {
-        if (pl.size() == 1) cells.insert(key(pl[0]));
-        for (size_t i = 1; i < pl.size(); ++i) {
-          const geom::Point a = pl[i - 1];
-          const geom::Point b = pl[i];
-          if (a.x != b.x && a.y != b.y) continue;
-          const geom::Point step = {(b.x > a.x) - (b.x < a.x),
-                                    (b.y > a.y) - (b.y < a.y)};
-          for (geom::Point p = a;; p += step) {
-            cells.insert(key(p));
-            if (p == b) break;
-          }
-        }
-      }
-    }
-  }
-
-  /// Routed track cells under `r` — each one a net the insertion would
-  /// displace (scrub + re-route) if a symbol landed here.
-  int covered(geom::Rect r) const {
-    int hits = 0;
-    for (int x = r.lo.x; x <= r.hi.x; ++x) {
-      for (int y = r.lo.y; y <= r.hi.y; ++y) {
-        hits += cells.contains(key({x, y})) ? 1 : 0;
-      }
-    }
-    return hits;
-  }
-};
-
-/// The gravity-seeded vacancy search: the position for a `size` rectangle
-/// near `ideal` minimising squared gravity distance plus a displacement
-/// penalty per routed cell the footprint would sit on.  "Hole-pinned
-/// vacancies first" — a spot a few tracks further that tears up no routing
-/// beats one directly on a channel — "then local hull expansion": ring by
-/// ring until the score bound proves no better cell exists, out to
-/// `max_radius`.
-std::optional<geom::Point> gravity_vacancy(geom::Point ideal, geom::Point size,
-                                           std::span<const geom::Rect> placed,
-                                           int spacing, int max_radius,
-                                           const RoutedCells& routed) {
-  // One displaced routed cell weighs like four extra tracks of distance:
-  // proximity still dominates, but dense channels repel the insertion.
-  constexpr std::int64_t kCellPenalty = 16;
-  auto feasible = [&](geom::Point pos) {
-    const geom::Rect candidate = geom::Rect::from_size(pos, size).expanded(spacing);
-    for (const geom::Rect& r : placed) {
-      if (candidate.overlaps(r)) return false;
-    }
-    return true;
-  };
-  auto score = [&](geom::Point pos) {
-    return geom::dist2(pos, ideal) +
-           kCellPenalty * routed.covered(geom::Rect::from_size(pos, size));
-  };
-
-  std::optional<geom::Point> best;
-  std::int64_t best_score = std::numeric_limits<std::int64_t>::max();
-  auto consider = [&](geom::Point pos) {
-    if (geom::dist2(pos, ideal) >= best_score || !feasible(pos)) return;
-    const std::int64_t s = score(pos);
-    if (s < best_score) {
-      best = pos;
-      best_score = s;
-    }
-  };
-  consider(ideal);
-  for (int r = 1; r <= max_radius; ++r) {
-    // Every position on ring r is at least r tracks out, so its score is
-    // at least r*r; once that exceeds the best score, no later ring wins.
-    if (best_score < static_cast<std::int64_t>(r) * r) break;
-    for (int dx = -r; dx <= r; ++dx) {
-      consider(ideal + geom::Point{dx, r});
-      consider(ideal + geom::Point{dx, -r});
-    }
-    for (int dy = -r + 1; dy < r; ++dy) {
-      consider(ideal + geom::Point{r, dy});
-      consider(ideal + geom::Point{-r, dy});
-    }
-  }
-  return best;
-}
-
 }  // namespace
 
 IncPlaceResult incremental_place(Diagram& dia, const Diagram& old_dia,
@@ -243,7 +147,10 @@ IncPlaceResult incremental_place(Diagram& dia, const Diagram& old_dia,
     }
 
     std::vector<geom::Rect> pinned;  // holes already promised to a partition
-    std::optional<RoutedCells> routed_cells;  // built on first gravity seed
+    // Built on the first gravity seed: the frozen symbols and the cached
+    // diagram's routed cells as summed-area tables.
+    std::optional<PointCounts> frozen_cover;
+    std::optional<PointCounts> routed;
     for (const auto& partition : new_partitions) {
       // In-place refresh: when the partition's membership and module sizes
       // are unchanged (the edit moved a terminal pin or rewired a net), the
@@ -349,14 +256,13 @@ IncPlaceResult incremental_place(Diagram& dia, const Diagram& old_dia,
           const int max_radius =
               std::max(frozen_hull.width(), frozen_hull.height()) / 2 +
               std::max(layout.size.x, layout.size.y) + spacing + 1;
-          std::vector<geom::Rect> obstacles;
-          obstacles.reserve(frozen.size() + pinned.size());
-          for (ModuleId m : frozen) obstacles.push_back(dia.module_rect(m));
-          obstacles.insert(obstacles.end(), pinned.begin(), pinned.end());
-          if (!routed_cells) routed_cells.emplace(old_dia);
+          if (!routed) {
+            frozen_cover = symbol_cover(dia, frozen);
+            routed = routed_cells(old_dia);
+          }
           if (const auto spot =
-                  gravity_vacancy(ideal, layout.size, obstacles, spacing,
-                                  max_radius, *routed_cells)) {
+                  gravity_vacancy(ideal, layout.size, *frozen_cover, pinned,
+                                  spacing, max_radius, *routed)) {
             pin = *spot;
             pinned.push_back(geom::Rect::from_size(*spot, layout.size));
           }
@@ -385,35 +291,23 @@ IncPlaceResult incremental_place(Diagram& dia, const Diagram& old_dia,
   }
 
   // ----- system terminals: keep survivors, ring-place the rest ---------------
+  // A re-placed partition may have grown over a survivor's spot.
+  std::vector<TermId> survivors;
+  std::vector<geom::Point> spots;
   for (TermId st : net.system_terms()) {
     const TermId ot = diff.term_to_old[st];
     if (ot == kNone || !old_dia.system_term_placed(ot)) continue;
-    const geom::Point pos = old_dia.term_pos(ot);
-    bool clear = true;  // a re-placed partition may have grown over the spot
-    for (ModuleId m = 0; m < net.module_count(); ++m) {
-      if (dia.module_placed(m) && dia.module_rect(m).contains(pos)) {
-        clear = false;
-        break;
-      }
-    }
-    if (clear) dia.place_system_term(st, pos);
+    survivors.push_back(st);
+    spots.push_back(old_dia.term_pos(ot));
+  }
+  const std::vector<bool> clear = uncovered_spots(dia, spots);
+  for (size_t i = 0; i < survivors.size(); ++i) {
+    if (clear[i]) dia.place_system_term(survivors[i], spots[i]);
   }
   place_system_terminals(dia);
 
   // ----- feasibility: frozen placement must stay overlap-free ----------------
-  for (ModuleId a = 0; a < net.module_count() && result.feasible; ++a) {
-    if (!dia.module_placed(a)) {
-      result.feasible = false;
-      break;
-    }
-    for (ModuleId b = a + 1; b < net.module_count(); ++b) {
-      if (dia.module_placed(b) &&
-          dia.module_rect(a).overlaps(dia.module_rect(b))) {
-        result.feasible = false;
-        break;
-      }
-    }
-  }
+  result.feasible = placement_feasible(dia);
 
   // ----- merged structure: carried-over clean partitions + the new ones ------
   for (size_t p = 0; p < old_info.partitions.size(); ++p) {

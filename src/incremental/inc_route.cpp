@@ -186,7 +186,8 @@ PatchRouteResult patch_route(Diagram& dia, const Diagram& old_dia,
     old_cells += geometry_cells(old_dia.route(on));
   }
   int kept_cells = 0;
-  std::vector<bool> kept(net.net_count(), false);
+  std::vector<bool>& kept = result.kept;
+  kept.assign(net.net_count(), false);
   static const std::vector<geom::Point> kNoStale;
   for (NetId n = 0; n < net.net_count(); ++n) {
     if (!is_clean(dia, old_dia, diff, n, changed)) continue;

@@ -33,6 +33,11 @@ struct PatchRouteResult {
   /// Speculation counters of that pass (all zero when it ran sequentially).
   ParallelRouteStats speculation;
   int nets_kept = 0;      ///< clean nets whose geometry survived verbatim
+  /// Per net of the new diagram: carried over verbatim (same polylines, and
+  /// every terminal at the same position as in the cached diagram), so its
+  /// connectivity verdict is the cached one.  Every other net was drawn by
+  /// this pass (re-routed, extended) or is unrouted.
+  std::vector<bool> kept;
   int nets_rerouted = 0;  ///< nets (re)routed by this pass
   int nets_extended = 0;  ///< rerouted nets that kept partial geometry
   int cells_scrubbed = 0; ///< grid track cells of stale geometry discarded

@@ -452,7 +452,12 @@ const Diagram& RegenSession::update(const Network& next) {
       issues = validate_diagram(*dia);
       ++full_validations;
     } else {
-      issues = validate_region(*dia, routed.dirty_region);
+      // Connectivity is re-proved only for the nets the patch drew: a kept
+      // net has the cached points and terminal positions (DESIGN §7).
+      std::vector<bool> drawn = routed.kept;
+      drawn.flip();
+      issues = validate_region(*dia, routed.dirty_region,
+                               /*require_all_routed=*/false, &drawn);
       ++region_validations;
       if (!issues.empty()) {
         issues = validate_diagram(*dia);

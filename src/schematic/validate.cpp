@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <stdexcept>
 #include <utility>
 
 namespace na {
@@ -108,17 +109,21 @@ bool connected(const std::vector<std::uint64_t>& pts) {
 }
 
 struct ScopeStats {
-  size_t points = 0;  ///< distinct in-scope points occupied by nets
-  size_t cells = 0;   ///< raster size
+  size_t points = 0;          ///< distinct in-scope points occupied by nets
+  size_t cells = 0;           ///< raster size
+  size_t nets_rechecked = 0;  ///< nets whose connectivity was re-proved
 };
 
 /// Shared checker body.  `region == nullptr` validates the whole diagram;
 /// otherwise only geometry intersecting `*region` is examined (see the
-/// scope rules on validate_region in the header).  The per-point work is
+/// scope rules on validate_region in the header), and a non-null `recheck`
+/// further limits connectivity to the nets it flags.  The per-point work is
 /// identical in both modes, so an in-region violation produces the same
 /// message either way.
 std::vector<std::string> validate_impl(const Diagram& dia, bool require_all_routed,
-                                       const geom::Rect* region, ScopeStats& stats) {
+                                       const geom::Rect* region,
+                                       const std::vector<bool>* recheck,
+                                       ScopeStats& stats) {
   const Network& net = dia.network();
   std::vector<std::string> problems;
   auto report = [&](std::string msg) { problems.push_back(std::move(msg)); };
@@ -323,10 +328,12 @@ std::vector<std::string> validate_impl(const Diagram& dia, bool require_all_rout
   // In region mode only the nets with in-scope geometry are re-checked, but
   // always over their *full* geometry: being one figure is not a local
   // property, and a patch can only disconnect a net at an edited point.
+  // `recheck` narrows that to the nets the patch drew.
   std::vector<std::uint64_t> points;
   for (NetId n = 0; n < net.net_count(); ++n) {
     const NetRoute& r = dia.route(n);
-    if (!r.routed || !touches[n]) continue;
+    if (!r.routed || !touches[n] || (recheck && !(*recheck)[n])) continue;
+    ++stats.nets_rechecked;
     net_points(r, points);
     if (points.empty()) {
       report("net '" + net.net(n).name + "' marked routed but has no geometry");
@@ -351,7 +358,7 @@ std::vector<std::string> validate_impl(const Diagram& dia, bool require_all_rout
 std::vector<std::string> validate_diagram(const Diagram& dia, bool require_all_routed) {
   NA_TRACE_SPAN(span, "validate.full");
   ScopeStats stats;
-  auto problems = validate_impl(dia, require_all_routed, nullptr, stats);
+  auto problems = validate_impl(dia, require_all_routed, nullptr, nullptr, stats);
   span.arg("issues", static_cast<long long>(problems.size()));
   span.arg("points", stats.points);
   span.arg("cells", stats.cells);
@@ -359,14 +366,19 @@ std::vector<std::string> validate_diagram(const Diagram& dia, bool require_all_r
 }
 
 std::vector<std::string> validate_region(const Diagram& dia, geom::Rect region,
-                                         bool require_all_routed) {
+                                         bool require_all_routed,
+                                         const std::vector<bool>* recheck) {
   NA_TRACE_SPAN(span, "validate.region");
   if (region.empty()) return {};
+  if (recheck && recheck->size() != static_cast<size_t>(dia.network().net_count())) {
+    throw std::invalid_argument("validate_region: recheck mask size != net count");
+  }
   ScopeStats stats;
-  auto problems = validate_impl(dia, require_all_routed, &region, stats);
+  auto problems = validate_impl(dia, require_all_routed, &region, recheck, stats);
   span.arg("issues", static_cast<long long>(problems.size()));
   span.arg("points", stats.points);
   span.arg("cells", stats.cells);
+  span.arg("nets_rechecked", stats.nets_rechecked);
   return problems;
 }
 

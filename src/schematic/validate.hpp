@@ -50,15 +50,22 @@ std::vector<std::string> validate_diagram(const Diagram& dia,
 ///     crossing, node-contact, symbol-entry and foreign-terminal rules
 ///     run, so only in-region track cells are examined;
 ///   * connectivity (one figure reaching every terminal) is re-checked for
-///     exactly the nets with at least one in-region point, over their full
+///     the nets with at least one in-region point, over their full
 ///     geometry — a patch that disconnects a net does so at an edited
-///     point, and the rule itself is not a local property.
+///     point, and the rule itself is not a local property.  `recheck`, when
+///     given (one flag per net), narrows this to the flagged nets: a patch
+///     passes the nets it drew, since a net it carried over verbatim has
+///     the same points and terminal positions as before and so the same
+///     verdict.  Every other rule still runs on every in-region point.
 ///
 /// Guarantee: a violation whose witness point(s) lie inside `region` is
-/// reported with the same message full validation would produce; issues
+/// reported with the same message full validation would produce (for
+/// connectivity: when the net is flagged or no `recheck` is given); issues
 /// entirely outside the region are not looked for.  An empty region
-/// validates nothing and returns no issues.
+/// validates nothing and returns no issues.  Throws std::invalid_argument
+/// when `recheck` does not hold one flag per net.
 std::vector<std::string> validate_region(const Diagram& dia, geom::Rect region,
-                                         bool require_all_routed = false);
+                                         bool require_all_routed = false,
+                                         const std::vector<bool>* recheck = nullptr);
 
 }  // namespace na
