@@ -45,6 +45,23 @@ struct SearchBound {
   /// lower bound then measures the distance to it.  Without it, a join's
   /// remaining cost is bounded by 0.
   std::optional<geom::Rect> join_hull;
+  /// Fixed-target full-plane searches: the expansions after which, once
+  /// the bound is finite, the search builds a min-link field and takes
+  /// the larger of it and the bend table as its bend bound.  Negative (the
+  /// drivers' value): min_link_threshold of the plane; tests set it to
+  /// place the build at a chosen expansion.
+  long field_after = -1;
+};
+
+/// Expansions a search spends before building a min-link field on a plane
+/// of `cells` points: about what a build costs (DESIGN §1 "Bound pruning").
+long min_link_threshold(long long cells);
+
+/// Work counters of one search.
+struct SearchStats {
+  long expansions = 0;        ///< states expanded, also when the search fails
+  long bound_expansions = 0;  ///< of those, expanded under a finite bound
+  int field_builds = 0;       ///< min-link fields built (0 or 1)
 };
 
 /// Lower bounds on the bends still needed from a state heading `d` to a
@@ -61,13 +78,25 @@ constexpr int bend_index(geom::Dir d, int sx, int sy) {
 /// scratch arrays instead of allocating per call (identical results either
 /// way); with an observation mask it records every examined cell for the
 /// speculative parallel driver's commit-time validation.  With `bound` the
-/// search prunes (same result, fewer expansions).  `expanded`, when given,
-/// receives the number of states expanded, also when the search fails.
+/// search prunes (same result, fewer expansions).  `stats`, when given,
+/// receives the search's work counters.
 std::optional<SearchResult> grid_search(const RoutingGrid& grid,
                                         const SearchProblem& prob, CostMode mode,
                                         SearchWorkspace* ws = nullptr,
                                         ObservedMask* observed = nullptr,
                                         const SearchBound* bound = nullptr,
-                                        long* expanded = nullptr);
+                                        SearchStats* stats = nullptr);
+
+/// The bound search: the same problem searched best-first, popping states
+/// in (key + h, push order) with h the lower bound of bound pruning.  It
+/// returns only the packed cost of the path it finds: with an admissible
+/// h that is the optimum, so any caller may use it as an upper bound.
+/// Never builds a min-link field (`bound` supplies only the join hull).
+std::optional<std::uint64_t> bound_search(const RoutingGrid& grid,
+                                          const SearchProblem& prob, CostMode mode,
+                                          SearchWorkspace& ws,
+                                          ObservedMask* observed = nullptr,
+                                          const SearchBound* bound = nullptr,
+                                          SearchStats* stats = nullptr);
 
 }  // namespace na::detail

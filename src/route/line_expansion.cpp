@@ -25,6 +25,10 @@
 // admissible lower bound on its remaining cost exceeds a proven upper bound
 // can lie on no optimal path, so it is neither pushed nor expanded.  The
 // surviving states keep their (key, seq) order, so the path is unchanged.
+// A long fixed-target search tightens that lower bound mid-way with a
+// min-link field (route/min_link.hpp).  The bound search runs the same
+// loop best-first, in (key + lower bound, seq) order, and only reports the
+// optimal cost, which the driver passes on as the upper bound.
 #include "route/dijkstra.hpp"
 
 #include <algorithm>
@@ -61,31 +65,76 @@ std::array<std::uint64_t, OpenSet::kLanes> lane_deltas(CostMode mode) {
   return {};
 }
 
-/// The lower bound h(p, d) of bound pruning: the bends the table still
-/// requires at the bend delta, plus the distance to the goal region at the
-/// straight-step delta (the cheapest step of every mode).  Branch-free: the
-/// table is indexed by the signs of the offset to the goal region.
+/// The lower bound h(p, d) of bound pruning: the bends still required at
+/// the bend delta, plus the distance to the goal region at the straight-step
+/// delta (the cheapest step of every mode).  The bends come from a table
+/// indexed by the signs of the offset to the goal region, and once a
+/// min-link field is attached, from the larger of the table and the field.
 class LowerBound {
  public:
   LowerBound(geom::Rect goal, const BendTable& bends, std::uint64_t bend_delta,
              std::uint64_t step_delta)
-      : goal_(goal), step_(step_delta) {
+      : goal_(goal), step_(step_delta), bend_(bend_delta) {
     for (size_t i = 0; i < bends.size(); ++i) bend_cost_[i] = bends[i] * bend_delta;
   }
 
-  std::uint64_t operator()(geom::Point p, geom::Dir d) const {
+  /// From now on the bends are at least the field's.
+  void use_field(const MinLinkField& field) { field_ = &field; }
+
+  /// `state` is (p, d)'s state index; the field is indexed by its cell.
+  std::uint64_t operator()(geom::Point p, geom::Dir d, int state) const {
     const int sx = (p.x < goal_.lo.x) - (p.x > goal_.hi.x);
     const int sy = (p.y < goal_.lo.y) - (p.y > goal_.hi.y);
     const int dist = std::max({goal_.lo.x - p.x, p.x - goal_.hi.x, 0}) +
                      std::max({goal_.lo.y - p.y, p.y - goal_.hi.y, 0});
-    return bend_cost_[bend_index(d, sx, sy)] + static_cast<std::uint64_t>(dist) * step_;
+    std::uint64_t bends = bend_cost_[bend_index(d, sx, sy)];
+    if (field_) {
+      bends = std::max(bends, static_cast<std::uint64_t>(field_->bends(state >> 2, d)) * bend_);
+    }
+    return bends + static_cast<std::uint64_t>(dist) * step_;
   }
 
  private:
   geom::Rect goal_;
   std::array<std::uint64_t, std::tuple_size_v<BendTable>> bend_cost_{};
   std::uint64_t step_;
+  std::uint64_t bend_;
+  const MinLinkField* field_ = nullptr;
 };
+
+/// A search's states, indexed over the points a step may land on: the
+/// window's part of the plane, so a windowed search's tables are
+/// window-sized.
+struct StateIndex {
+  geom::Rect reach;
+  int w;
+
+  int state(geom::Point p, geom::Dir d) const {
+    return ((p.y - reach.lo.y) * w + (p.x - reach.lo.x)) * 4 + static_cast<int>(d);
+  }
+  geom::Point point(int state) const {
+    const int cell = state / 4;
+    return {reach.lo.x + cell % w, reach.lo.y + cell / w};
+  }
+  static geom::Dir dir(int state) { return static_cast<geom::Dir>(state % 4); }
+};
+
+StateIndex state_index(const RoutingGrid& grid, const SearchProblem& prob) {
+  const geom::Rect win = prob.window ? *prob.window : grid.area();
+  const geom::Rect reach = win.intersect(grid.area());
+  return {reach, reach.width() + 1};
+}
+
+/// The goal a search reached: its key, and the state the final step left.
+struct Goal {
+  std::uint64_t key;
+  int parent;
+};
+
+/// Plane cells per expansion of the min-link field's build cost: a search
+/// builds the field after cells / kFieldCellsPerExpansion expansions
+/// (DESIGN §1 gives the sweep behind it).
+constexpr long long kFieldCellsPerExpansion = 32;
 
 static_assert(
     [] {
@@ -152,52 +201,40 @@ BendTable bend_lower_bounds(std::optional<geom::Dir> entry) {
   return table;
 }
 
-std::optional<SearchResult> grid_search(const RoutingGrid& grid,
-                                        const SearchProblem& prob, CostMode mode,
-                                        SearchWorkspace* ws, ObservedMask* observed,
-                                        const SearchBound* bound, long* expanded) {
-  if (expanded) *expanded = 0;
-  if (prob.starts.empty()) return std::nullopt;
-  if (!prob.target && !prob.join_own_net) {
-    throw std::invalid_argument("search problem without destination");
-  }
-  SearchWorkspace local;
-  if (!ws) ws = &local;
-  const geom::Rect area = grid.area();
+namespace {
+
+/// The search loop of grid_search (kBestFirst false: canonical (key, seq)
+/// order) and bound_search (best-first, (key + h, seq) order).
+template <bool kBestFirst>
+std::optional<Goal> run_search(const RoutingGrid& grid, const SearchProblem& prob,
+                               CostMode mode, SearchWorkspace& ws,
+                               ObservedMask* observed, const SearchBound* bound,
+                               SearchStats& stats) {
   const bool windowed = prob.window.has_value();
-  const geom::Rect win = windowed ? *prob.window : area;
-  // Points a step may land on: the window's part of the plane.  States are
-  // indexed over it, so a windowed search's tables are window-sized.
-  const geom::Rect reach = win.intersect(area);
-  const int w = reach.width() + 1;
-  const int h = reach.height() + 1;
-  const int ncells = w * h;
+  const geom::Rect win = windowed ? *prob.window : grid.area();
+  const StateIndex index = state_index(grid, prob);
+  const geom::Rect reach = index.reach;
+  const int ncells = index.w * (reach.height() + 1);
   const int nstates = ncells * 4;
   // The virtual goal lives outside the table: its key, and the state the
   // final step leaves from.
   const int goal_state = nstates;
   std::uint64_t goal_key = StateTable::kUnvisited;
   int goal_parent = -1;
-  // Keys pop in non-decreasing order and a relax must lower a state's key,
-  // so each state is pushed at most once as a start and expanded at most
-  // once, pushing at most three entries: at most 16 pushes per cell, which
-  // keeps the 32-bit push sequence number from wrapping.
+  // Canonical keys pop in non-decreasing order and a relax must lower a
+  // state's key, so each state is pushed at most once as a start and
+  // expanded at most once, pushing at most three entries: at most 16
+  // pushes per cell, which keeps the 32-bit push sequence number from
+  // wrapping.  (The bound search may re-open a state; its sequence
+  // numbers only break ties among equal keys, which no caller sees.)
   if (static_cast<std::uint64_t>(ncells) > std::numeric_limits<std::uint32_t>::max() / 16) {
     throw std::length_error("routing plane too large for the search core");
   }
 
-  auto state_of = [&](geom::Point p, geom::Dir d) {
-    return ((p.y - reach.lo.y) * w + (p.x - reach.lo.x)) * 4 + static_cast<int>(d);
-  };
-  auto point_of = [&](int state) {
-    const int cell = state / 4;
-    return geom::Point{reach.lo.x + cell % w, reach.lo.y + cell / w};
-  };
-  auto dir_of = [&](int state) { return static_cast<geom::Dir>(state % 4); };
-
-  StateTable& table = ws->begin(nstates, windowed);
+  StateTable& table = ws.begin(nstates, windowed);
   const StateTable::View visited = table.view();
-  OpenSet& open = ws->open();
+  OpenSet& open = ws.open();
+  BestFirstQueue& heap = ws.heap();
   const std::array<std::uint64_t, OpenSet::kLanes> delta = lane_deltas(mode);
 
   const NetId net = prob.net;
@@ -212,27 +249,49 @@ std::optional<SearchResult> grid_search(const RoutingGrid& grid,
   // Bound pruning.  `upper` stays kNoBound without a SearchBound, and
   // until a bound exists each push and pop pays one predictable branch.
   std::uint64_t upper = bound ? bound->key : kNoBound;
-  const LowerBound lower = [&] {
+  LowerBound lower = [&] {
     if (!prob.join_own_net) {
       return LowerBound({target, target}, bend_lower_bounds(entry), delta[kBend],
                         delta[kStraight]);
     }
     // A join may end on any own-net cell, or on the target if there is one.
-    geom::Rect goal = bound && bound->join_hull ? *bound->join_hull : area;
+    geom::Rect goal = bound && bound->join_hull ? *bound->join_hull : grid.area();
     if (has_target) goal = goal.hull(target);
     return LowerBound(goal, BendTable{}, 0, delta[kStraight]);
   }();
+  // The expansion count at which the bound became finite (-1: not yet).
+  long bounded_at = upper == kNoBound ? -1 : 0;
+  // The min-link field: fixed-target full-plane canonical searches with a
+  // bend cost build it once the bound is finite and the search has spent
+  // about a build's cost in expansions (ski rental).
+  constexpr long kNever = std::numeric_limits<long>::max();
+  long field_at = kNever;
+  if (!kBestFirst && bound && has_target && !prob.join_own_net && !windowed &&
+      delta[kBend] != 0) {
+    field_at = bound->field_after >= 0 ? bound->field_after : min_link_threshold(ncells);
+  }
 
   // Forced inline: with the bound test GCC otherwise outlines the relax,
   // and every push then reloads the search state through the closure
   // (about a third slower per expansion, even with pruning off).
   auto relax = [&](int lane, geom::Point q, geom::Dir d, Move move, std::uint64_t key)
                    __attribute__((always_inline)) {
-    const int state = state_of(q, d);
-    if (key < visited.best(state) && (upper == kNoBound || key + lower(q, d) <= upper)) {
+    const int state = index.state(q, d);
+    if constexpr (kBestFirst) {
+      if (key >= visited.best(state)) return;
+      const std::uint64_t f = key + lower(q, d, state);
+      if (f > upper) return;
+      visited.record(state, key, move);
+      heap.push(f, state);
+    } else if (key < visited.best(state) &&
+               (upper == kNoBound || key + lower(q, d, state) <= upper)) {
       visited.record(state, key, move);
       open.push(lane, key, state);
     }
+  };
+  auto finish = [&](long expansions) {
+    stats.expansions = expansions;
+    stats.bound_expansions = bounded_at < 0 ? 0 : expansions - bounded_at;
   };
 
   for (const SearchStart& s : prob.starts) {
@@ -247,21 +306,41 @@ std::optional<SearchResult> grid_search(const RoutingGrid& grid,
 
   long expansions = 0;
   OpenEntry e;
-  while (open.pop(e)) {
+  while (kBestFirst ? heap.pop(e) : open.pop(e)) {
     if (e.state == goal_state) {
       if (e.key == goal_key) break;
       continue;  // stale
     }
-    if (e.key != visited.best(e.state)) continue;  // stale
-    const geom::Point p = point_of(e.state);
-    const geom::Dir d = dir_of(e.state);
-    // Pushed before the bound dropped below it.
-    if (upper != kNoBound && e.key + lower(p, d) > upper) continue;
+    geom::Point p;
+    geom::Dir d;
+    if constexpr (kBestFirst) {
+      // An entry's key is its state's key plus h: stale once the state's
+      // key dropped.
+      p = index.point(e.state);
+      d = StateIndex::dir(e.state);
+      if (e.key != visited.best(e.state) + lower(p, d, e.state)) continue;
+      if (e.key > upper) continue;  // pushed before the bound dropped below it
+    } else {
+      if (e.key != visited.best(e.state)) continue;  // stale
+      p = index.point(e.state);
+      d = StateIndex::dir(e.state);
+      // Pushed before the bound dropped below it (or before the field).
+      if (upper != kNoBound && e.key + lower(p, d, e.state) > upper) continue;
+    }
     if (++expansions > prob.max_expansions) {
-      if (expanded) *expanded = expansions - 1;
+      finish(expansions - 1);
       return std::nullopt;
     }
+    if (expansions >= field_at && upper != kNoBound) [[unlikely]] {
+      // Levels past the bound's bends cannot tighten a prune.
+      MinLinkField& field = ws.field();
+      field.build(grid, target, entry, static_cast<int>(upper >> 40));
+      lower.use_field(field);
+      field_at = kNever;
+      ++stats.field_builds;
+    }
     if (observed) observed->mark(p);
+    const std::uint64_t key = kBestFirst ? visited.best(e.state) : e.key;
 
     // Straight step: extend the escape line one track.
     const geom::Point q = p + geom::delta(d);
@@ -279,16 +358,23 @@ std::optional<SearchResult> grid_search(const RoutingGrid& grid,
                              arrivable;
       const bool is_join = prob.join_own_net && arrivable && c.occupied_by(net);
       if (is_target || is_join) {
-        const std::uint64_t key = e.key + delta[kStraight];
-        if (key < goal_key && key <= upper) {
-          goal_key = key;
+        const std::uint64_t goal = key + delta[kStraight];
+        if (goal < goal_key && goal <= upper) {
+          goal_key = goal;
           goal_parent = e.state;
-          open.push(kStraight, key, goal_state);
-          if (bound) upper = key;
+          if constexpr (kBestFirst) {
+            heap.push(goal, goal_state);
+          } else {
+            open.push(kStraight, goal, goal_state);
+          }
+          if (kBestFirst || bound) {
+            if (bounded_at < 0) bounded_at = expansions;
+            upper = goal;
+          }
         }
       } else if (c.passable(net, horiz) && !c.occupied_by(net)) {
         const int lane = c.crosses(net, horiz) ? kCrossing : kStraight;
-        relax(lane, q, d, Move::Step, e.key + delta[lane]);
+        relax(lane, q, d, Move::Step, key + delta[lane]);
       }
     }
     // Turns: start a perpendicular expansion wave (one bend deeper).  The
@@ -296,13 +382,58 @@ std::optional<SearchResult> grid_search(const RoutingGrid& grid,
     if (grid.cell(p).can_turn(net)) {
       for (geom::Dir nd : geom::kAllDirs) {
         if (geom::is_horizontal(nd) == geom::is_horizontal(d)) continue;
-        relax(kBend, p, nd, turn_from(d, nd), e.key + delta[kBend]);
+        relax(kBend, p, nd, turn_from(d, nd), key + delta[kBend]);
       }
     }
   }
-  if (expanded) *expanded = expansions;
-
+  finish(expansions);
   if (goal_key == StateTable::kUnvisited) return std::nullopt;
+  return Goal{goal_key, goal_parent};
+}
+
+void check_problem(const SearchProblem& prob) {
+  if (!prob.target && !prob.join_own_net) {
+    throw std::invalid_argument("search problem without destination");
+  }
+}
+
+}  // namespace
+
+long min_link_threshold(long long cells) {
+  return static_cast<long>(cells / kFieldCellsPerExpansion);
+}
+
+std::optional<std::uint64_t> bound_search(const RoutingGrid& grid,
+                                          const SearchProblem& prob, CostMode mode,
+                                          SearchWorkspace& ws, ObservedMask* observed,
+                                          const SearchBound* bound, SearchStats* stats) {
+  SearchStats local_stats;
+  if (!stats) stats = &local_stats;
+  *stats = {};
+  if (prob.starts.empty()) return std::nullopt;
+  check_problem(prob);
+  const auto goal = run_search<true>(grid, prob, mode, ws, observed, bound, *stats);
+  if (!goal) return std::nullopt;
+  return goal->key;
+}
+
+std::optional<SearchResult> grid_search(const RoutingGrid& grid,
+                                        const SearchProblem& prob, CostMode mode,
+                                        SearchWorkspace* ws, ObservedMask* observed,
+                                        const SearchBound* bound, SearchStats* stats) {
+  SearchStats local_stats;
+  if (!stats) stats = &local_stats;
+  *stats = {};
+  if (prob.starts.empty()) return std::nullopt;
+  check_problem(prob);
+  SearchWorkspace local;
+  if (!ws) ws = &local;
+  const auto goal = run_search<false>(grid, prob, mode, *ws, observed, bound, *stats);
+  if (!goal) return std::nullopt;
+  const StateIndex index = state_index(grid, prob);
+  const StateTable& table = ws->table(prob.window.has_value());
+  const NetId net = prob.net;
+  const int goal_parent = goal->parent;
 
   // Trace back the state chain, recounting its cost (the key holds only
   // what the mode orders by): each state's move names its parent and says
@@ -310,23 +441,23 @@ std::optional<SearchResult> grid_search(const RoutingGrid& grid,
   PathCost cost{0, 0, 1};
   std::vector<geom::Point> chain;
   for (int s = goal_parent;;) {
-    const geom::Point p = point_of(s);
-    const geom::Dir d = dir_of(s);
+    const geom::Point p = index.point(s);
+    const geom::Dir d = StateIndex::dir(s);
     chain.push_back(p);
     const Move move = table.move(s);
     if (move == Move::Start) break;
     if (move == Move::Step) {
       ++cost.length;
       cost.crossings += grid.crosses_at(p, net, geom::is_horizontal(d)) ? 1 : 0;
-      s = state_of(p - geom::delta(d), d);
+      s = index.state(p - geom::delta(d), d);
     } else {
       ++cost.bends;
-      s = state_of(p, turn_origin(d, move));
+      s = index.state(p, turn_origin(d, move));
     }
   }
   std::reverse(chain.begin(), chain.end());
   chain.push_back(prob.target ? prob.target->p
-                              : point_of(goal_parent) + geom::delta(dir_of(goal_parent)));
+                              : index.point(goal_parent) + geom::delta(StateIndex::dir(goal_parent)));
   std::vector<geom::Point> path;
   for (const geom::Point& p : chain) {
     if (!path.empty() && path.back() == p) continue;  // turn-in-place states
@@ -345,7 +476,7 @@ std::optional<SearchResult> grid_search(const RoutingGrid& grid,
   SearchResult result;
   result.path = std::move(path);
   result.cost = cost;
-  result.expansions = expansions;
+  result.expansions = stats->expansions;
   return result;
 }
 

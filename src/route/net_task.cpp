@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <limits>
 
-#include "core/thread_pool.hpp"
 #include "obs/trace.hpp"
 #include "route/dijkstra.hpp"
 #include "route/net_order.hpp"
@@ -128,37 +127,45 @@ NetTaskResult route_single_net_impl(RoutingGrid& grid, const Diagram& dia, NetId
   // Windowed search with full-plane fallback (identical results whenever
   // the windowed attempt fails; a windowed success may be a window-local
   // optimum, which is why the knob defaults to off).  Without the knob,
-  // every grid search is bound-pruned (DESIGN §1): a pre-search inside a
-  // window around the focus, when the window is small next to the plane,
-  // supplies the upper bound for the exact full-plane search.
+  // every grid search is bound-pruned (DESIGN §1): a best-first bound
+  // search inside a window around the focus, when the window is small
+  // next to the plane, supplies the upper bound for the exact full-plane
+  // search.
   auto engine_search = [&](SearchProblem& prob,
                            geom::Rect focus) -> std::optional<SearchResult> {
     if (!mode) return find_path(opt.engine, grid, prob);
     SearchBound bound;
     if (prob.join_own_net) bound.join_hull = net_bbox;
-    auto search = [&](long* expanded) {
-      return grid_search(grid, prob, *mode, &ws, observed, &bound, expanded);
+    auto search = [&] {
+      SearchStats stats;
+      auto r = grid_search(grid, prob, *mode, &ws, observed, &bound, &stats);
+      out.bound_expansions += stats.bound_expansions;
+      out.field_builds += stats.field_builds;
+      return r;
     };
     if (windowable) {
       const geom::Rect win = focus.expanded(opt.window_slack);
       if (!win.contains(grid.area())) {
         prob.window = win;
-        auto r = search(nullptr);
+        auto r = search();
         prob.window.reset();
         if (r) return r;
       }
-      return search(nullptr);
+      return search();
     }
     const geom::Rect pre_win = focus.expanded(kPreSearchSlack).intersect(grid.area());
     long pre = 0;
     if (4 * cells(pre_win) <= cells(grid.area())) {
       prob.window = pre_win;
-      if (auto r = search(&pre)) bound.key = pack_cost(r->cost, *mode);
+      SearchStats stats;
+      if (auto key = bound_search(grid, prob, *mode, ws, observed, &bound, &stats)) {
+        bound.key = *key;
+      }
       prob.window.reset();
-      ++out.pre_searches;
+      pre = stats.expansions;
       out.pre_expansions += pre;
     }
-    auto r = search(nullptr);
+    auto r = search();
     if (r) r->expansions += pre;
     return r;
   };
@@ -257,20 +264,21 @@ NetTaskResult route_single_net(RoutingGrid& grid, const Diagram& dia, NetId n,
                                ObservedMask* observed,
                                std::vector<RoutingGrid::TrackWrite>* occupancy) {
   // Per-net telemetry span shared by every driver: the sequential pass,
-  // the speculative workers (worker >= 0, speculative = 1) and the
-  // committer's serial re-routes all funnel through here.
+  // the speculative workers (speculative = 1) and the committer's serial
+  // re-routes all funnel through here.  A span carries at most
+  // obs::kMaxTraceArgs (6) args; these are the work counters.
   NA_TRACE_SPAN(span, "route.net");
   NetTaskResult out =
       route_single_net_impl(grid, dia, n, std::move(todo), opt, has_geometry,
                             ws, observed, occupancy);
   span.arg("net", n);
-  span.arg("worker", ThreadPool::worker_index());
   span.arg("speculative", observed != nullptr ? 1 : 0);
   long long expansions = 0;
   for (const SearchResult& c : out.connections) expansions += c.expansions;
   span.arg("expansions", expansions);
-  span.arg("pre_searches", static_cast<long long>(out.pre_searches));
   span.arg("pre_expansions", out.pre_expansions);
+  span.arg("bound_expansions", out.bound_expansions);
+  span.arg("field_builds", out.field_builds);
   // Cumulative per-thread expansion counter: viewers derive the router's
   // expansion *rate* from the slope of this series.
   {
@@ -278,19 +286,43 @@ NetTaskResult route_single_net(RoutingGrid& grid, const Diagram& dia, NetId n,
     tl_expansions += expansions;
     NA_TRACE_COUNTER("route.expansions", "cumulative", tl_expansions);
   }
-  span.arg("connections", static_cast<long long>(out.connections.size()));
-  span.arg("failed_terms", static_cast<long long>(out.failed.size()));
   return out;
 }
 
-void DriverSetup::release_claims(NetId n, std::vector<CellOp>* ops) {
-  for (auto& [cell, owner] : claims) {
-    if (owner == n) {
-      grid.clear_claim(cell);
-      if (ops) ops->push_back({cell, CellOp::kClearClaim, kNone});
-      owner = kNone;
-    }
+void DriverSetup::add_claim(geom::Point cell, NetId n) {
+  if (first_claim.size() <= static_cast<size_t>(n)) {
+    first_claim.resize(n + 1, -1);
+    last_claim.resize(n + 1, -1);
   }
+  const int pos = static_cast<int>(claims.size());
+  claims.emplace_back(cell, n);
+  next_claim.push_back(-1);
+  (last_claim[n] < 0 ? first_claim[n] : next_claim[last_claim[n]]) = pos;
+  last_claim[n] = pos;
+}
+
+void DriverSetup::release_claims(NetId n, std::vector<CellOp>* ops) {
+  // Positions are linked in the order they were appended, so a release
+  // visits the net's entries in table order.
+  for_each_claim(n, [&](int i) {
+    auto& [cell, owner] = claims[i];
+    grid.clear_claim(cell);
+    if (ops) ops->push_back({cell, CellOp::kClearClaim, kNone});
+    owner = kNone;
+  });
+  if (n >= 0 && static_cast<size_t>(n) < first_claim.size()) {
+    first_claim[n] = last_claim[n] = -1;
+  }
+}
+
+void DriverSetup::clear_claims() {
+  for (auto& [cell, owner] : claims) {
+    if (owner != kNone) grid.clear_claim(cell);
+  }
+  claims.clear();
+  next_claim.clear();
+  std::fill(first_claim.begin(), first_claim.end(), -1);
+  std::fill(last_claim.begin(), last_claim.end(), -1);
 }
 
 void DriverSetup::restore_claim(const Diagram& dia, const RouterOptions& opt,
@@ -302,7 +334,7 @@ void DriverSetup::restore_claim(const Diagram& dia, const RouterOptions& opt,
       grid.v_net(cell) == kNone) {
     grid.set_claim(cell, n);
     if (ops) ops->push_back({cell, CellOp::kSetClaim, n});
-    claims.emplace_back(cell, n);
+    add_claim(cell, n);
   }
 }
 
@@ -314,6 +346,8 @@ DriverSetup prepare_driver(const Diagram& dia, const RouterOptions& opt) {
   // geometry, terminals already covered by it count as connected.
   setup.pending.resize(net.net_count());
   setup.has_geometry.assign(net.net_count(), false);
+  setup.first_claim.assign(net.net_count(), -1);
+  setup.last_claim.assign(net.net_count(), -1);
   for (NetId n = 0; n < net.net_count(); ++n) {
     setup.has_geometry[n] = !dia.route(n).polylines.empty();
     for (TermId t : net.net(n).terms) {
@@ -339,7 +373,7 @@ DriverSetup prepare_driver(const Diagram& dia, const RouterOptions& opt) {
         if (setup.grid.in_bounds(cell) && !setup.grid.blocked(cell) &&
             setup.grid.claim_owner(cell) == kNone) {
           setup.grid.set_claim(cell, n);
-          setup.claims.emplace_back(cell, n);
+          setup.add_claim(cell, n);
         }
       }
     }
@@ -370,6 +404,9 @@ std::vector<NetId> ordered_nets(const Diagram& dia, const RouterOptions& opt) {
 
 void commit_connections(Diagram& dia, NetId n, NetTaskResult& res,
                         DriverSetup& setup, RouteReport& report) {
+  setup.pre_expansions += res.pre_expansions;
+  setup.bound_expansions += res.bound_expansions;
+  setup.field_builds += res.field_builds;
   for (SearchResult& c : res.connections) {
     dia.add_polyline(n, std::move(c.path));
     setup.has_geometry[n] = true;
@@ -384,10 +421,7 @@ void retry_pass(Diagram& dia, const RouterOptions& opt, DriverSetup& setup,
   if (!opt.retry_failed) return;
   NA_TRACE_SPAN(span, "route.retry");
   const std::uint64_t scrubbed = ws.scrubbed_slots();
-  for (auto& [cell, owner] : setup.claims) {
-    if (owner != kNone) setup.grid.clear_claim(cell);
-  }
-  setup.claims.clear();
+  setup.clear_claims();
   for (NetId n : order) {
     if (setup.pending[n].empty()) continue;
     const int before = static_cast<int>(setup.pending[n].size());

@@ -52,10 +52,14 @@ bool speculation_exact(const ObservedMask& observed,
 struct NetTaskResult {
   std::vector<SearchResult> connections;
   std::vector<TermId> failed;
-  /// Bound pruning's windowed pre-searches and the states they expanded
-  /// (each connection's `expansions` already includes its own share).
-  int pre_searches = 0;
+  /// States expanded by bound pruning's windowed pre-searches (the bound
+  /// searches); each connection's `expansions` already includes its own
+  /// share.
   long long pre_expansions = 0;
+  /// States the grid searches expanded under a finite upper bound (the
+  /// optimality proofs), and the min-link fields they built.
+  long long bound_expansions = 0;
+  int field_builds = 0;
 };
 
 /// Routes as much of net `n` as possible on `grid`, starting from the
@@ -73,16 +77,47 @@ struct DriverSetup {
   RoutingGrid grid;  ///< the live routing plane
   std::vector<std::vector<TermId>> pending;  ///< per net, terminals to connect
   std::vector<bool> has_geometry;
+  /// The claimpoint table: cells and owners, kNone once released.
   std::vector<std::pair<geom::Point, NetId>> claims;
+  /// Per net, its live entries in `claims` as an ascending linked list:
+  /// the first and last position (-1: none), and per position the next
+  /// one of the same net.  Only add_claim, release_claims and
+  /// clear_claims change the table.
+  std::vector<int> first_claim;
+  std::vector<int> last_claim;
+  std::vector<int> next_claim;
+  /// Work counters summed over the committed nets (commit_connections).
+  long long pre_expansions = 0;
+  long long bound_expansions = 0;
+  long long field_builds = 0;
 
   explicit DriverSetup(RoutingGrid g) : grid(std::move(g)) {}
 
+  /// Appends a claim of net `n` at `cell` to the table (the grid is the
+  /// caller's business).
+  void add_claim(geom::Point cell, NetId n);
+  /// Calls `f(position)` for net `n`'s live entries in `claims`, ascending.
+  template <class F>
+  void for_each_claim(NetId n, F f) const {
+    if (n < 0 || static_cast<size_t>(n) >= first_claim.size()) return;
+    for (int i = first_claim[n]; i >= 0; i = next_claim[i]) f(i);
+  }
   /// Releases net `n`'s remaining claimpoints (done when its routing
-  /// starts); journals the clears when `ops` is given.
+  /// starts) in table order; journals the clears when `ops` is given.
   void release_claims(NetId n, std::vector<CellOp>* ops = nullptr);
   /// Re-claims the escape track of a terminal that stayed unconnected.
   void restore_claim(const Diagram& dia, const RouterOptions& opt, TermId t,
                      NetId n, std::vector<CellOp>* ops = nullptr);
+  /// Clears every live claim from the grid and empties the table.
+  void clear_claims();
+
+  /// Puts the work counters on a driver's pass span.
+  template <class Span>
+  void trace_work(Span& span) const {
+    span.arg("pre_expansions", pre_expansions);
+    span.arg("bound_expansions", bound_expansions);
+    span.arg("field_builds", field_builds);
+  }
 };
 
 /// Builds the routing plane, the pending lists and the claimpoint table

@@ -371,6 +371,7 @@ RouteReport parallel_route_all(Diagram& dia, const RouterOptions& opt,
     }
   }
   pool.wait_idle();
+  setup.trace_work(pass_span);
   }
 
   // Scheduling counters for the metrics registry: how hard the urgent

@@ -63,6 +63,7 @@ RouteReport route_all(Diagram& dia, const RouterOptions& opt,
       for (TermId t : setup.pending[n]) setup.restore_claim(dia, opt, t, n);
     }
     span.arg("scrubbed_slots", static_cast<long long>(ws.scrubbed_slots()));
+    setup.trace_work(span);
   }
 
   // ----- pass 2: retry after every claim is gone (section 5.7) ---------------

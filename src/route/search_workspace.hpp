@@ -27,6 +27,7 @@
 #include <vector>
 
 #include "geom/rect.hpp"
+#include "route/min_link.hpp"
 
 namespace na::detail {
 
@@ -108,6 +109,37 @@ class OpenSet {
 
  private:
   std::array<OpenLane, kLanes> lanes_;
+  std::uint32_t seq_ = 0;
+};
+
+/// The bound search's open set: a binary heap popping the smallest
+/// (key, seq) first, where the key is a state's cost plus its lower bound.
+/// Its pushes are not ordered, so the lanes above cannot serve it.
+class BestFirstQueue {
+ public:
+  void clear() {
+    heap_.clear();
+    seq_ = 0;
+  }
+  void push(std::uint64_t key, std::int32_t state) {
+    heap_.push_back({key, state, seq_++});
+    std::push_heap(heap_.begin(), heap_.end(), later);
+  }
+  /// Removes the smallest entry into `out`; false when the queue is empty.
+  bool pop(OpenEntry& out) {
+    if (heap_.empty()) return false;
+    std::pop_heap(heap_.begin(), heap_.end(), later);
+    out = heap_.back();
+    heap_.pop_back();
+    return true;
+  }
+
+ private:
+  static bool later(const OpenEntry& a, const OpenEntry& b) {
+    return a.key != b.key ? a.key > b.key : a.seq > b.seq;
+  }
+
+  std::vector<OpenEntry> heap_;
   std::uint32_t seq_ = 0;
 };
 
@@ -214,13 +246,21 @@ class SearchWorkspace {
   /// search would bring that table's full scrub one search closer.
   StateTable& begin(int nstates, bool windowed) {
     open_.clear();
+    heap_.clear();
     StateTable& table = windowed ? window_ : plane_;
     table.begin(nstates);
     return table;
   }
 
-  /// The open set (cleared by begin(), driven by the search loop).
+  /// The table the last begin() prepared for a search of this kind.
+  const StateTable& table(bool windowed) const { return windowed ? window_ : plane_; }
+
+  /// The open sets of the canonical and the bound search (cleared by
+  /// begin(), driven by the search loop).
   OpenSet& open() { return open_; }
+  BestFirstQueue& heap() { return heap_; }
+  /// The min-link field, rebuilt by each search that needs one.
+  MinLinkField& field() { return field_; }
 
   /// Slots both tables have scrubbed so far (a work counter).
   std::uint64_t scrubbed_slots() const {
@@ -231,6 +271,8 @@ class SearchWorkspace {
   StateTable plane_;
   StateTable window_;
   OpenSet open_;
+  BestFirstQueue heap_;
+  MinLinkField field_;
 };
 
 /// Set of grid cells examined by the searches of one net-routing task.

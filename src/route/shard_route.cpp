@@ -63,9 +63,7 @@ void run_shard(ShardJob& job, const DriverSetup& setup, const Diagram& dia,
     // of net n's claims lie inside the region (assignment guarantees the
     // net hull + 1 fits), so clearing by the shared claims snapshot hits
     // exactly the cells the live-plane release will clear at merge.
-    for (const auto& [cell, owner] : setup.claims) {
-      if (owner == n) local.clear_claim(cell);
-    }
+    setup.for_each_claim(n, [&](int i) { local.clear_claim(setup.claims[i].first); });
     r.res = detail::route_single_net(local, dia, n, setup.pending[n], opt,
                                      setup.has_geometry[n], ws);
     for (TermId t : r.res.failed) {
@@ -132,6 +130,7 @@ RouteReport shard_route_all(Diagram& dia, const RouterOptions& opt,
     span.arg("threads", 1);
     span.arg("nets", static_cast<long long>(order.size()));
     sequential_pass(dia, opt, setup, order, report, ws);
+    setup.trace_work(span);
     detail::retry_pass(dia, opt, setup, order, report, ws);
     detail::finish_report(dia, setup, report);
     return report;
@@ -200,7 +199,7 @@ RouteReport shard_route_all(Diagram& dia, const RouterOptions& opt,
         setup.pending[r.net] = std::move(r.res.failed);
         for (const auto& [cell, owner] : r.new_claims) {
           setup.grid.set_claim(cell, owner);
-          setup.claims.emplace_back(cell, owner);
+          setup.add_claim(cell, owner);
         }
       }
     }

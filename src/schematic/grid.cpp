@@ -8,6 +8,16 @@ RoutingGrid::RoutingGrid(geom::Rect area) : area_(area) {
   if (area.empty()) throw std::invalid_argument("routing area is empty");
   width_ = area.width() + 1;
   cells_.resize(static_cast<size_t>(width_) * (area.height() + 1));
+  row_words_ = (width_ + 63) / 64;
+  closed_.resize(static_cast<size_t>(row_words_) * (area.height() + 1));
+}
+
+void RoutingGrid::set_closed(geom::Point p, bool closed) {
+  const int x = p.x - area_.lo.x;
+  std::uint64_t& word =
+      closed_[static_cast<size_t>(p.y - area_.lo.y) * row_words_ + x / 64];
+  const std::uint64_t bit = std::uint64_t{1} << (x % 64);
+  word = closed ? word | bit : word & ~bit;
 }
 
 namespace {
@@ -55,6 +65,7 @@ void RoutingGrid::block(geom::Point p) {
   Obstacle o = obstacle(index(p));
   o.blocked = true;
   set_obstacle(index(p), o);
+  set_closed(p, o.owner == kNone);
 }
 
 void RoutingGrid::block_rect(geom::Rect r) {
@@ -71,6 +82,7 @@ void RoutingGrid::set_terminal(geom::Point p, NetId n) {
   o.blocked = true;
   o.owner = n;
   set_obstacle(index(p), o);
+  set_closed(p, n == kNone);
 }
 
 void RoutingGrid::set_claim(geom::Point p, NetId n) {
@@ -144,6 +156,7 @@ RoutingGrid RoutingGrid::clipped(geom::Rect sub) const {
   for (int y = inter.lo.y; y <= inter.hi.y; ++y) {
     for (int x = inter.lo.x; x <= inter.hi.x; ++x) {
       g.at({x, y}) = cell({x, y});
+      if (closed({x, y})) g.set_closed({x, y}, true);
       if ((cell({x, y}).gate & kSideBit) != 0) {
         g.side_[g.index({x, y})] = side_.at(index({x, y}));
       }

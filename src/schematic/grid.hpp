@@ -22,6 +22,13 @@
 // can carry a claim too (the API allows it; the router never makes one);
 // such a cell sets gate bit 30 and keeps its owner and claim in a small
 // side map, with bits 0-29 still saying who may enter.
+//
+// Beside the cells the grid keeps a closed mask, one bit per point, row by
+// row in 64-bit words: the points no net may ever enter, that is blocked
+// cells that are no terminal (module bodies, pure-obstacle system
+// terminals).  Only block() and set_terminal() change it; commits (tracks
+// and claims) never do, so it is static for a whole routing pass.  The
+// search core's min-link bend bound reads it (route/min_link.hpp).
 #pragma once
 
 #include <cstdint>
@@ -101,6 +108,20 @@ class RoutingGrid {
     return in_bounds(p) ? obstacle(index(p)).claim : kNone;
   }
   NetId h_net(geom::Point p) const { return in_bounds(p) ? cell(p).h : kNone; }
+  /// May no net ever enter `p` (out of bounds, or blocked and no terminal)?
+  bool closed(geom::Point p) const {
+    if (!in_bounds(p)) return true;
+    const int x = p.x - area_.lo.x;
+    const std::uint64_t word =
+        closed_[static_cast<size_t>(p.y - area_.lo.y) * row_words_ + x / 64];
+    return (word >> (x % 64) & 1) != 0;
+  }
+  /// The closed mask: row `y - area().lo.y` is `closed_row_words()` words
+  /// from `closed_words() + row * closed_row_words()`; bit `x % 64` of
+  /// word `x / 64` (x counted from area().lo.x) is the point's bit, and
+  /// the bits past the last column are 0.
+  const std::uint64_t* closed_words() const { return closed_.data(); }
+  int closed_row_words() const { return row_words_; }
   NetId v_net(geom::Point p) const { return in_bounds(p) ? cell(p).v : kNone; }
 
   /// May net `n` be present at `p` at all (bounds, modules, claims,
@@ -179,6 +200,7 @@ class RoutingGrid {
     return static_cast<size_t>(p.y - area_.lo.y) * width_ + (p.x - area_.lo.x);
   }
   Cell& at(geom::Point p) { return cells_[index(p)]; }
+  void set_closed(geom::Point p, bool closed);
 
   /// The obstacle state the gate word encodes, as the API sets it.
   struct Obstacle {
@@ -192,6 +214,8 @@ class RoutingGrid {
   geom::Rect area_;
   int width_ = 0;  // number of columns
   std::vector<Cell> cells_;
+  int row_words_ = 0;  // closed-mask words per row
+  std::vector<std::uint64_t> closed_;
   /// Owner and claim of the blocked cells that also carry a claim.
   std::unordered_map<size_t, Obstacle> side_;
 };

@@ -213,6 +213,9 @@ class ReferenceGrid {
     const Cell& c = cell(p);
     return (c.h == kNone || c.h == n) && (c.v == kNone || c.v == n);
   }
+  bool closed(geom::Point p) const {
+    return !in_bounds(p) || (cell(p).blocked && cell(p).owner == kNone);
+  }
 
  private:
   struct Cell {
@@ -243,7 +246,7 @@ std::vector<int> observe(const Grid& g, geom::Rect area) {
     for (int x = area.lo.x; x <= area.hi.x; ++x) {
       const geom::Point p{x, y};
       out.insert(out.end(), {g.blocked(p), g.terminal_owner(p), g.claim_owner(p),
-                             g.h_net(p), g.v_net(p)});
+                             g.h_net(p), g.v_net(p), g.closed(p)});
       for (NetId n = 0; n <= 3; ++n) {
         out.insert(out.end(),
                    {g.enterable(p, n), g.passable(p, n, true), g.passable(p, n, false),

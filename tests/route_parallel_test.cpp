@@ -21,6 +21,7 @@
 #include "route/net_task.hpp"
 #include "route/parallel_route.hpp"
 #include "route/router.hpp"
+#include "route/shard_route.hpp"
 #include "schematic/validate.hpp"
 
 namespace na {
@@ -246,6 +247,143 @@ TEST(Respeculation, UrgentLaneRunsBeforeQueuedWork) {
   EXPECT_EQ(ran[0], 100);
   EXPECT_EQ(ran[1], 101);
   EXPECT_EQ(ran[2], 0);
+}
+
+// ----- claim index ----------------------------------------------------------------
+
+/// The claim table as a whole-table scan sees it: a release clears every
+/// live claim of the net, in table order.
+struct ScannedClaims {
+  std::vector<std::pair<geom::Point, NetId>> claims;
+
+  std::vector<detail::CellOp> release(NetId n) {
+    std::vector<detail::CellOp> ops;
+    for (auto& [cell, owner] : claims) {
+      if (owner != n) continue;
+      ops.push_back({cell, detail::CellOp::kClearClaim, kNone});
+      owner = kNone;
+    }
+    return ops;
+  }
+};
+
+bool same_ops(const std::vector<detail::CellOp>& a, const std::vector<detail::CellOp>& b) {
+  return std::equal(a.begin(), a.end(), b.begin(), b.end(),
+                    [](const detail::CellOp& x, const detail::CellOp& y) {
+                      return x.p == y.p && x.kind == y.kind && x.net == y.net;
+                    });
+}
+
+/// Every net's index lists exactly its live table entries, ascending.
+void expect_index_matches_table(const detail::DriverSetup& setup, int nets,
+                                const std::string& what) {
+  for (NetId n = 0; n < nets; ++n) {
+    std::vector<int> scanned;
+    for (size_t i = 0; i < setup.claims.size(); ++i) {
+      if (setup.claims[i].second == n) scanned.push_back(static_cast<int>(i));
+    }
+    std::vector<int> indexed;
+    setup.for_each_claim(n, [&](int i) { indexed.push_back(i); });
+    ASSERT_EQ(indexed, scanned) << what << " net " << n;
+  }
+}
+
+/// LIFE with a search budget small enough that some terminals stay
+/// unconnected in pass 1, so the drivers restore claims as well.
+RouterOptions starved_life_options(int threads) {
+  RouterOptions opt = life_options(threads);
+  opt.max_expansions = 3000;
+  return opt;
+}
+
+TEST(ClaimIndex, ReleasesExactlyTheLiveClaimsInTableOrder) {
+  // The claim steps of every driver, replayed on one setup against the
+  // table scan: the sequential and speculative drivers release a net's
+  // claims before routing it (the speculative committer journals the
+  // clears) and restore the escape tracks of what failed; the shard
+  // merge releases and then appends the claims its job restored; the
+  // retry pass clears them all.
+  const RouterOptions opt = starved_life_options(1);
+  Diagram dia = placed_life();
+  detail::DriverSetup setup = detail::prepare_driver(dia, opt);
+  const int nets = dia.network().net_count();
+  ScannedClaims ref{setup.claims};
+  ASSERT_GT(ref.claims.size(), 100u);
+  expect_index_matches_table(setup, nets, "prepared");
+  detail::SearchWorkspace ws;
+  RouteReport report;
+  int released = 0, restored = 0, merged = 0, step = 0;
+  for (NetId n : detail::ordered_nets(dia, opt)) {
+    if (setup.pending[n].empty()) continue;
+    const std::string what = "net " + std::to_string(n);
+    std::vector<detail::CellOp> ops;
+    // Alternate the journalled and the plain release.
+    if (step++ % 2 == 0) {
+      setup.release_claims(n, &ops);
+    } else {
+      const std::vector<std::pair<geom::Point, NetId>> before = setup.claims;
+      setup.release_claims(n);
+      for (size_t i = 0; i < before.size(); ++i) {
+        if (before[i].second != setup.claims[i].second) {
+          ops.push_back({before[i].first, detail::CellOp::kClearClaim, kNone});
+        }
+      }
+    }
+    ASSERT_TRUE(same_ops(ops, ref.release(n))) << what;
+    released += static_cast<int>(ops.size());
+    for (const detail::CellOp& op : ops) ASSERT_EQ(setup.grid.claim_owner(op.p), kNone) << what;
+    detail::NetTaskResult res = detail::route_single_net(
+        setup.grid, dia, n, std::move(setup.pending[n]), opt, setup.has_geometry[n], ws);
+    detail::commit_connections(dia, n, res, setup, report);
+    setup.pending[n] = std::move(res.failed);
+    const size_t table = setup.claims.size();
+    for (TermId t : setup.pending[n]) setup.restore_claim(dia, opt, t, n);
+    // The shard merge's path: a net's restored claims re-appended.
+    if (step % 3 == 0 && setup.claims.size() > table) {
+      const std::vector restored_here(
+          setup.claims.begin() + static_cast<std::ptrdiff_t>(table), setup.claims.end());
+      setup.release_claims(n);
+      for (const auto& [cell, owner] : restored_here) {
+        setup.grid.set_claim(cell, owner);
+        setup.add_claim(cell, owner);
+      }
+      ++merged;
+    }
+    for (size_t i = ref.claims.size(); i < setup.claims.size(); ++i) {
+      ref.claims.push_back(setup.claims[i]);
+    }
+    restored += static_cast<int>(setup.claims.size() - table);
+    ASSERT_EQ(setup.claims, ref.claims) << what;
+    expect_index_matches_table(setup, nets, what);
+  }
+  EXPECT_GT(released, 100);
+  EXPECT_GT(restored, 5);
+  EXPECT_GT(merged, 0);
+  setup.clear_claims();
+  EXPECT_TRUE(setup.claims.empty());
+  expect_index_matches_table(setup, nets, "cleared");
+  for (const auto& [cell, owner] : ref.claims) EXPECT_EQ(setup.grid.claim_owner(cell), kNone);
+}
+
+TEST(ClaimIndex, DriversAgreeWhenClaimsAreRestored) {
+  // The same starved workload through every driver: the sequential
+  // driver, the speculative one at 4 threads and the single-shard driver
+  // produce one diagram; 4 shards produce one at any thread count.
+  Diagram seq = placed_life();
+  const RouteReport r_seq = route_all(seq, starved_life_options(1));
+  ASSERT_GT(r_seq.connections_failed + r_seq.retried_connections, 0);
+  Diagram spec = placed_life();
+  expect_reports_equal(route_all(spec, starved_life_options(4)), r_seq);
+  EXPECT_TRUE(RoutedSnapshot(spec) == RoutedSnapshot(seq));
+  Diagram one_shard = placed_life();
+  expect_reports_equal(
+      shard_route_all(one_shard, starved_life_options(1), ShardOptions{1, 16, 1}), r_seq);
+  EXPECT_TRUE(RoutedSnapshot(one_shard) == RoutedSnapshot(seq));
+  Diagram four_a = placed_life();
+  Diagram four_b = placed_life();
+  expect_reports_equal(shard_route_all(four_a, starved_life_options(1), ShardOptions{4, 16, 1}),
+                       shard_route_all(four_b, starved_life_options(1), ShardOptions{4, 16, 4}));
+  EXPECT_TRUE(RoutedSnapshot(four_a) == RoutedSnapshot(four_b));
 }
 
 // ----- workspace reuse ----------------------------------------------------------

@@ -1,7 +1,8 @@
 // Unit tests for the single-connection search engines: line expansion
 // (min bends -> crossings -> length), Lee (min length), Hightower
 // (escape-line heuristic) and the straight-line fast path, plus a seeded
-// oracle check of the search core's open set against a reference queue.
+// oracle check of the search core's open set against a reference queue, and
+// of bound pruning's bound search and min-link field against brute force.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -518,11 +519,12 @@ struct Scenario {
 
 /// A seeded random plane (offset origin, module blocks, foreign and own
 /// nets, claims, a terminal) and a target or join problem on it, sometimes
-/// windowed.  Net 0 is the searching net.
-Scenario random_scenario(std::mt19937& rng) {
+/// windowed.  Net 0 is the searching net.  The plane is 7 to max_size + 1
+/// points wide.
+Scenario random_scenario(std::mt19937& rng, int max_size = 32) {
   auto uni = [&](int lo, int hi) { return std::uniform_int_distribution<int>(lo, hi)(rng); };
   auto dir = [&]() { return geom::kAllDirs[uni(0, 3)]; };
-  const int size = uni(6, 32);
+  const int size = uni(6, max_size);
   const geom::Point lo = {uni(-5, 5), uni(-5, 5)};
   Scenario sc;
   sc.grid = RoutingGrid({lo, {lo.x + size, lo.y + uni(size / 2, size)}});
@@ -725,16 +727,20 @@ TEST(SearchCore, BoundedSearchMatchesUnbounded) {
   auto uni = [&](int lo, int hi) { return std::uniform_int_distribution<int>(lo, hi)(rng); };
   detail::SearchWorkspace ws;
   int found = 0, joins = 0, entries = 0, cut_off = 0, pruned = 0;
+  int fields = 0, field_pruned = 0;
   for (int round = 0; round < 300; ++round) {
     Scenario sc = random_scenario(rng);
     detail::SearchBound base;
     if (sc.prob.join_own_net) base.join_hull = own_hull(sc.grid);
+    // The bend table alone; the min-link field is checked against it below.
+    base.field_after = std::numeric_limits<long>::max();
     for (detail::CostMode mode : modes) {
       const std::string what =
           "round " + std::to_string(round) + " mode " + std::to_string(static_cast<int>(mode));
       const auto want = detail::grid_search(sc.grid, sc.prob, mode, &ws);
       // No initial bound: pruning starts when the goal is pushed.
-      long used = -1;
+      detail::SearchStats used;
+      used.expansions = -1;
       const auto open_bound =
           detail::grid_search(sc.grid, sc.prob, mode, &ws, nullptr, &base, &used);
       ASSERT_EQ(open_bound.has_value(), want.has_value()) << what;
@@ -742,7 +748,7 @@ TEST(SearchCore, BoundedSearchMatchesUnbounded) {
       ++found;
       joins += sc.prob.join_own_net;
       entries += sc.prob.target && sc.prob.target->facing;
-      EXPECT_EQ(used, open_bound->expansions) << what;
+      EXPECT_EQ(used.expansions, open_bound->expansions) << what;
       const std::uint64_t exact = detail::pack_cost(want->cost, mode);
       EXPECT_EQ(exact, pack(want->cost, mode)) << what;
 
@@ -763,6 +769,11 @@ TEST(SearchCore, BoundedSearchMatchesUnbounded) {
         cut_off += key > exact;
         bounds.push_back(key);
       }
+      // The cells the unpruned search read: every pruned search's
+      // expansions are a subset of its, so are their cells.
+      detail::ObservedMask read_unpruned;
+      read_unpruned.reset(sc.grid.area());
+      detail::grid_search(sc.grid, sc.prob, mode, &ws, &read_unpruned);
       for (const std::uint64_t b : bounds) {
         detail::SearchBound bound = base;
         bound.key = b;
@@ -776,6 +787,39 @@ TEST(SearchCore, BoundedSearchMatchesUnbounded) {
         EXPECT_EQ(got->cost.length, want->cost.length) << with;
         EXPECT_LE(got->expansions, want->expansions) << with;
         pruned += got->expansions < want->expansions;
+        // A min-link field, from the first expansion or from mid-search,
+        // changes neither path nor cost and only prunes further.
+        for (const long after : {0L, got->expansions / 2}) {
+          detail::SearchBound fielded = bound;
+          fielded.field_after = after;
+          detail::ObservedMask read;
+          read.reset(sc.grid.area());
+          detail::SearchStats stats;
+          const auto f = detail::grid_search(sc.grid, sc.prob, mode, &ws, &read, &fielded, &stats);
+          const std::string at = with + " field after " + std::to_string(after);
+          ASSERT_TRUE(f.has_value()) << at;
+          EXPECT_EQ(f->path, want->path) << at;
+          EXPECT_EQ(f->cost.bends, want->cost.bends) << at;
+          EXPECT_EQ(f->cost.crossings, want->cost.crossings) << at;
+          EXPECT_EQ(f->cost.length, want->cost.length) << at;
+          EXPECT_LE(f->expansions, got->expansions) << at;
+          EXPECT_LE(stats.bound_expansions, stats.expansions) << at;
+          const bool eligible = !sc.prob.join_own_net && !sc.prob.window &&
+                                mode != detail::CostMode::LengthOnly;
+          if (!eligible) {
+            EXPECT_EQ(stats.field_builds, 0) << at;
+          }
+          fields += stats.field_builds;
+          field_pruned += f->expansions < got->expansions;
+          const geom::Rect a = sc.grid.area();
+          for (int y = a.lo.y; y <= a.hi.y; ++y) {
+            for (int x = a.lo.x; x <= a.hi.x; ++x) {
+              if (read.covers({x, y})) {
+                ASSERT_TRUE(read_unpruned.covers({x, y})) << at << " cell " << geom::Point{x, y};
+              }
+            }
+          }
+        }
         // The unbounded search's budget always suffices.
         SearchProblem tight = sc.prob;
         tight.max_expansions = want->expansions;
@@ -791,6 +835,188 @@ TEST(SearchCore, BoundedSearchMatchesUnbounded) {
   EXPECT_GT(entries, 100);
   EXPECT_GT(cut_off, 30);
   EXPECT_GT(pruned, 500);
+  EXPECT_GT(fields, 500);
+  EXPECT_GT(field_pruned, 100);
+}
+
+/// Fewest bends from every state (p, d) of `g`'s area to the goal, by a
+/// 0-1 breadth-first search backwards from the arrival states.  `arrives`
+/// says whether state (p, d) reaches the goal with its next step, `steps`
+/// whether a step with heading d onto p reaches state (p, d), `turns`
+/// whether a state at p may turn.  Unreachable states hold INT_MAX.
+template <class Arrives, class Steps, class Turns>
+std::vector<int> backward_bends(const RoutingGrid& g, Arrives arrives, Steps steps,
+                                Turns turns) {
+  const geom::Rect a = g.area();
+  const int w = a.width() + 1;
+  auto index = [&](geom::Point p, geom::Dir d) {
+    return ((p.y - a.lo.y) * w + (p.x - a.lo.x)) * 4 + static_cast<int>(d);
+  };
+  std::vector<int> bends(static_cast<size_t>(w) * (a.height() + 1) * 4,
+                         std::numeric_limits<int>::max());
+  std::deque<std::pair<geom::Point, geom::Dir>> queue;
+  for (int y = a.lo.y; y <= a.hi.y; ++y) {
+    for (int x = a.lo.x; x <= a.hi.x; ++x) {
+      for (geom::Dir d : geom::kAllDirs) {
+        if (arrives(geom::Point{x, y}, d)) {
+          bends[index({x, y}, d)] = 0;
+          queue.emplace_back(geom::Point{x, y}, d);
+        }
+      }
+    }
+  }
+  while (!queue.empty()) {
+    const auto [q, d] = queue.front();
+    queue.pop_front();
+    const int b = bends[index(q, d)];
+    const geom::Point p = q - geom::delta(d);
+    if (a.contains(p) && steps(q, d) && b < bends[index(p, d)]) {
+      bends[index(p, d)] = b;
+      queue.emplace_front(p, d);
+    }
+    if (!turns(q)) continue;
+    for (geom::Dir od : geom::kAllDirs) {
+      if (geom::is_horizontal(od) == geom::is_horizontal(d)) continue;
+      if (b + 1 < bends[index(q, od)]) {
+        bends[index(q, od)] = b + 1;
+        queue.emplace_back(q, od);
+      }
+    }
+  }
+  return bends;
+}
+
+TEST(MinLinkField, EqualsRelaxedBendsAndNeverExceedsRealOnes) {
+  std::mt19937 rng(20261020);
+  auto uni = [&](int lo, int hi) { return std::uniform_int_distribution<int>(lo, hi)(rng); };
+  const std::optional<geom::Dir> entries[] = {std::nullopt, geom::Dir::Left, geom::Dir::Right,
+                                              geom::Dir::Up, geom::Dir::Down};
+  detail::MinLinkField field;  // reused, as a workspace does
+  int planes = 0, wide = 0, capped = 0, real_finite = 0, real_above = 0, closed_cells = 0;
+  for (int round = 0; round < 300; ++round) {
+    // Every third plane is wider than a bitmap word, so row fills carry
+    // between words.
+    Scenario sc = random_scenario(rng, round % 3 == 0 ? 150 : 32);
+    const RoutingGrid& g = sc.grid;
+    const geom::Rect a = g.area();
+    // A target inside the plane or just outside it, sometimes a terminal.
+    const geom::Point target = sc.prob.target ? sc.prob.target->p
+                                              : geom::Point{uni(a.lo.x - 1, a.hi.x + 1),
+                                                            uni(a.lo.y, a.hi.y)};
+    ++planes;
+    wide += a.width() + 1 > 64;
+    for (const std::optional<geom::Dir> entry : entries) {
+      const int limit = uni(0, 1) ? detail::MinLinkField::kMaxLevel : uni(0, 4);
+      field.build(g, target, entry, limit);
+      const std::string what = "round " + std::to_string(round) + " entry " +
+                               (entry ? std::to_string(static_cast<int>(*entry)) : "any") +
+                               " limit " + std::to_string(limit);
+      auto entry_ok = [&](geom::Dir d) { return !entry || *entry == d; };
+      // The relaxed plane: only closed points block.
+      const std::vector<int> relaxed = backward_bends(
+          g,
+          [&](geom::Point p, geom::Dir d) {
+            return !g.closed(p) && p + geom::delta(d) == target && entry_ok(d) &&
+                   !g.closed(target);
+          },
+          [&](geom::Point q, geom::Dir d) { return !g.closed(q) && !g.closed(q - geom::delta(d)); },
+          [&](geom::Point q) { return !g.closed(q); });
+      // The real search's moves for net 0 (grid_search's step, arrival and
+      // turn rules).
+      auto arrivable = [&](geom::Point q) { return g.enterable(q, 0) && g.node_free(q, 0); };
+      const std::vector<int> real = backward_bends(
+          g,
+          [&](geom::Point p, geom::Dir d) {
+            return p + geom::delta(d) == target && entry_ok(d) && arrivable(target);
+          },
+          [&](geom::Point q, geom::Dir d) {
+            const bool goal = q == target && entry_ok(d) && arrivable(q);
+            return !goal && g.passable(q, 0, geom::is_horizontal(d)) && !g.occupied_by(q, 0);
+          },
+          [&](geom::Point q) { return g.can_turn(q, 0); });
+      const int w = a.width() + 1;
+      for (int y = a.lo.y; y <= a.hi.y; ++y) {
+        for (int x = a.lo.x; x <= a.hi.x; ++x) {
+          const geom::Point p{x, y};
+          const int cell = (y - a.lo.y) * w + (x - a.lo.x);
+          for (geom::Dir d : geom::kAllDirs) {
+            const int got = field.bends(cell, d);
+            const int s = cell * 4 + static_cast<int>(d);
+            if (real[s] != std::numeric_limits<int>::max()) {
+              ++real_finite;
+              ASSERT_LE(got, real[s]) << what << " " << p << " heading " << d;
+              real_above += real[s] > got;
+            }
+            if (g.closed(p)) {
+              ++closed_cells;
+              continue;
+            }
+            // The axis bound is the smaller of its two headings', capped.
+            const geom::Dir back = geom::opposite(d);
+            const int truth = std::min(relaxed[s], relaxed[cell * 4 + static_cast<int>(back)]);
+            capped += truth > limit;
+            ASSERT_EQ(got, std::min(truth, limit + 1)) << what << " " << p << " heading " << d;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(planes, 300);
+  EXPECT_GT(wide, 50);
+  // The seed reaches every case: capped levels, closed cells, and real
+  // grids whose tracks and claims cost more bends than the relaxed plane.
+  EXPECT_GT(capped, 1000);
+  EXPECT_GT(closed_cells, 1000);
+  EXPECT_GT(real_finite, 10000);
+  EXPECT_GT(real_above, 1000);
+}
+
+TEST(SearchCore, BoundSearchFindsTheWindowOptimum) {
+  const detail::CostMode modes[] = {detail::CostMode::BendsCrossingsLength,
+                                    detail::CostMode::BendsLengthCrossings,
+                                    detail::CostMode::LengthOnly};
+  std::mt19937 rng(20261021);
+  auto uni = [&](int lo, int hi) { return std::uniform_int_distribution<int>(lo, hi)(rng); };
+  detail::SearchWorkspace ws;
+  int found = 0, windowed = 0, joins = 0, cut_off = 0;
+  for (int round = 0; round < 300; ++round) {
+    Scenario sc = random_scenario(rng);
+    detail::SearchBound base;
+    if (sc.prob.join_own_net) base.join_hull = own_hull(sc.grid);
+    // The scenario's own problem, and a window around its first start.
+    SearchProblem pre = sc.prob;
+    const geom::Point s0 = pre.starts[0].p;
+    pre.window = geom::Rect{s0, s0}.hull(pre.target ? pre.target->p : s0).expanded(uni(0, 4));
+    SearchProblem full = sc.prob;
+    full.window.reset();
+    for (detail::CostMode mode : modes) {
+      const auto optimum = detail::grid_search(sc.grid, full, mode, &ws, nullptr, &base);
+      for (const SearchProblem* prob : {&sc.prob, &pre}) {
+        const std::string what = "round " + std::to_string(round) + " mode " +
+                                 std::to_string(static_cast<int>(mode)) +
+                                 (prob == &pre ? " pre-window" : "");
+        const auto canonical = detail::grid_search(sc.grid, *prob, mode, &ws, nullptr, &base);
+        detail::SearchStats stats;
+        const auto key = detail::bound_search(sc.grid, *prob, mode, ws, nullptr, &base, &stats);
+        ASSERT_EQ(key.has_value(), canonical.has_value()) << what;
+        if (!key) continue;
+        ++found;
+        windowed += prob->window.has_value();
+        joins += prob->join_own_net;
+        EXPECT_EQ(*key, detail::pack_cost(canonical->cost, mode)) << what;
+        EXPECT_EQ(stats.field_builds, 0) << what;
+        // A window's optimum is a path of the whole plane: never below its
+        // optimum, so a valid upper bound for the full search.
+        ASSERT_TRUE(optimum.has_value()) << what;
+        EXPECT_GE(*key, detail::pack_cost(optimum->cost, mode)) << what;
+        cut_off += *key > detail::pack_cost(optimum->cost, mode);
+      }
+    }
+  }
+  EXPECT_GT(found, 700);
+  EXPECT_GT(windowed, 400);
+  EXPECT_GT(joins, 200);
+  EXPECT_GT(cut_off, 30);
 }
 
 TEST(SearchCore, BendLowerBoundIsAdmissible) {
