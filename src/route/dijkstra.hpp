@@ -45,17 +45,7 @@ struct SearchBound {
   /// lower bound then measures the distance to it.  Without it, a join's
   /// remaining cost is bounded by 0.
   std::optional<geom::Rect> join_hull;
-  /// Fixed-target full-plane searches: the expansions after which, once
-  /// the bound is finite, the search builds a min-link field and takes
-  /// the larger of it and the bend table as its bend bound.  Negative (the
-  /// drivers' value): min_link_threshold of the plane; tests set it to
-  /// place the build at a chosen expansion.
-  long field_after = -1;
 };
-
-/// Expansions a search spends before building a min-link field on a plane
-/// of `cells` points: about what a build costs (DESIGN §1 "Bound pruning").
-long min_link_threshold(long long cells);
 
 /// Work counters of one search.
 struct SearchStats {

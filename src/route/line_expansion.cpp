@@ -268,7 +268,7 @@ std::optional<Goal> run_search(const RoutingGrid& grid, const SearchProblem& pro
   long field_at = kNever;
   if (!kBestFirst && bound && has_target && !prob.join_own_net && !windowed &&
       delta[kBend] != 0) {
-    field_at = bound->field_after >= 0 ? bound->field_after : min_link_threshold(ncells);
+    field_at = static_cast<long>(ncells / kFieldCellsPerExpansion);
   }
 
   // Forced inline: with the bound test GCC otherwise outlines the relax,
@@ -334,7 +334,7 @@ std::optional<Goal> run_search(const RoutingGrid& grid, const SearchProblem& pro
     if (expansions >= field_at && upper != kNoBound) [[unlikely]] {
       // Levels past the bound's bends cannot tighten a prune.
       MinLinkField& field = ws.field();
-      field.build(grid, target, entry, static_cast<int>(upper >> 40));
+      field.build(grid, target, entry, static_cast<int>(upper / delta[kBend]));
       lower.use_field(field);
       field_at = kNever;
       ++stats.field_builds;
@@ -398,10 +398,6 @@ void check_problem(const SearchProblem& prob) {
 }
 
 }  // namespace
-
-long min_link_threshold(long long cells) {
-  return static_cast<long>(cells / kFieldCellsPerExpansion);
-}
 
 std::optional<std::uint64_t> bound_search(const RoutingGrid& grid,
                                           const SearchProblem& prob, CostMode mode,

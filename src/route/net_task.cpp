@@ -290,29 +290,20 @@ NetTaskResult route_single_net(RoutingGrid& grid, const Diagram& dia, NetId n,
 }
 
 void DriverSetup::add_claim(geom::Point cell, NetId n) {
-  if (first_claim.size() <= static_cast<size_t>(n)) {
-    first_claim.resize(n + 1, -1);
-    last_claim.resize(n + 1, -1);
-  }
-  const int pos = static_cast<int>(claims.size());
+  if (claim_pos.size() <= static_cast<size_t>(n)) claim_pos.resize(n + 1);
+  claim_pos[n].push_back(static_cast<int>(claims.size()));
   claims.emplace_back(cell, n);
-  next_claim.push_back(-1);
-  (last_claim[n] < 0 ? first_claim[n] : next_claim[last_claim[n]]) = pos;
-  last_claim[n] = pos;
 }
 
 void DriverSetup::release_claims(NetId n, std::vector<CellOp>* ops) {
-  // Positions are linked in the order they were appended, so a release
-  // visits the net's entries in table order.
-  for_each_claim(n, [&](int i) {
+  if (n < 0 || static_cast<size_t>(n) >= claim_pos.size()) return;
+  for (int i : claim_pos[n]) {
     auto& [cell, owner] = claims[i];
     grid.clear_claim(cell);
     if (ops) ops->push_back({cell, CellOp::kClearClaim, kNone});
     owner = kNone;
-  });
-  if (n >= 0 && static_cast<size_t>(n) < first_claim.size()) {
-    first_claim[n] = last_claim[n] = -1;
   }
+  claim_pos[n].clear();
 }
 
 void DriverSetup::clear_claims() {
@@ -320,9 +311,7 @@ void DriverSetup::clear_claims() {
     if (owner != kNone) grid.clear_claim(cell);
   }
   claims.clear();
-  next_claim.clear();
-  std::fill(first_claim.begin(), first_claim.end(), -1);
-  std::fill(last_claim.begin(), last_claim.end(), -1);
+  for (std::vector<int>& pos : claim_pos) pos.clear();
 }
 
 void DriverSetup::restore_claim(const Diagram& dia, const RouterOptions& opt,
@@ -346,8 +335,7 @@ DriverSetup prepare_driver(const Diagram& dia, const RouterOptions& opt) {
   // geometry, terminals already covered by it count as connected.
   setup.pending.resize(net.net_count());
   setup.has_geometry.assign(net.net_count(), false);
-  setup.first_claim.assign(net.net_count(), -1);
-  setup.last_claim.assign(net.net_count(), -1);
+  setup.claim_pos.resize(net.net_count());
   for (NetId n = 0; n < net.net_count(); ++n) {
     setup.has_geometry[n] = !dia.route(n).polylines.empty();
     for (TermId t : net.net(n).terms) {

@@ -79,13 +79,9 @@ struct DriverSetup {
   std::vector<bool> has_geometry;
   /// The claimpoint table: cells and owners, kNone once released.
   std::vector<std::pair<geom::Point, NetId>> claims;
-  /// Per net, its live entries in `claims` as an ascending linked list:
-  /// the first and last position (-1: none), and per position the next
-  /// one of the same net.  Only add_claim, release_claims and
-  /// clear_claims change the table.
-  std::vector<int> first_claim;
-  std::vector<int> last_claim;
-  std::vector<int> next_claim;
+  /// Per net, the positions of its live entries in `claims`, ascending.
+  /// Only add_claim, release_claims and clear_claims change the table.
+  std::vector<std::vector<int>> claim_pos;
   /// Work counters summed over the committed nets (commit_connections).
   long long pre_expansions = 0;
   long long bound_expansions = 0;
@@ -99,8 +95,8 @@ struct DriverSetup {
   /// Calls `f(position)` for net `n`'s live entries in `claims`, ascending.
   template <class F>
   void for_each_claim(NetId n, F f) const {
-    if (n < 0 || static_cast<size_t>(n) >= first_claim.size()) return;
-    for (int i = first_claim[n]; i >= 0; i = next_claim[i]) f(i);
+    if (n < 0 || static_cast<size_t>(n) >= claim_pos.size()) return;
+    for (int i : claim_pos[n]) f(i);
   }
   /// Releases net `n`'s remaining claimpoints (done when its routing
   /// starts) in table order; journals the clears when `ops` is given.
